@@ -1,7 +1,6 @@
 #include "src/fl/server.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <iterator>
 
@@ -16,8 +15,6 @@
 namespace fedcav::fl {
 
 namespace {
-
-constexpr std::size_t kServerRank = 0;
 
 // Checkpoint formats. v1 (PR 2) carried only the round counter and the
 // global weights; v2 adds everything needed for bit-identical resume;
@@ -50,13 +47,6 @@ std::uint64_t checkpoint_magic(int version) {
   }
 }
 
-/// Payload bytes the dense f32 protocol would have used for a message
-/// carrying `dim` weights plus `scalar_bytes` of header scalars (the
-/// write_f32_span framing is 8 bytes of length). Feeds comm.bytes_saved.
-std::size_t dense_payload_bytes(std::size_t dim, std::size_t scalar_bytes) {
-  return scalar_bytes + 8 + 4 * dim;
-}
-
 /// Attributes a scope's wall time to one RoundPhases field and mirrors
 /// it as a "round.phase" trace span. The Stopwatch is unconditional
 /// (two steady-clock reads); the span is inert unless telemetry is on.
@@ -76,6 +66,25 @@ class PhaseTimer {
   Stopwatch watch_;
   double& out_;
 };
+
+/// Analytic peak of aggregation-owned tensor bytes for `n` updates of
+/// `dim` floats: a streaming strategy holds one f64 accumulator plus at
+/// most `wave` materialized f32 updates; a buffering one holds them all.
+double aggregation_peak_bytes(const AggregationStrategy& strategy, std::size_t dim,
+                              std::size_t n, std::size_t wave) {
+  const std::size_t held = strategy.streaming_aggregation() ? std::min(wave, n) : n;
+  const std::size_t accumulator = strategy.streaming_aggregation() ? sizeof(double) : 0;
+  return static_cast<double>(dim) *
+         static_cast<double>(accumulator + held * sizeof(float));
+}
+
+/// Fold one exchange's protocol counters into the round record.
+void tally(metrics::RoundRecord& record, const ParticipantOutcome& outcome) {
+  record.retries += outcome.retries;
+  record.crc_failures += outcome.crc_failures;
+  record.stale_discards += outcome.stale_discards;
+  if (outcome.deadline_missed) record.deadline_misses += 1;
+}
 
 }  // namespace
 
@@ -125,21 +134,19 @@ Server::Server(std::unique_ptr<nn::Model> global_model,
     comm::NetworkConfig net = config_.network;
     net.num_endpoints = clients_.size() + 1;
     network_ = std::make_unique<comm::InMemoryNetwork>(net);
-    transport_ = network_.get();
+    endpoint_.attach(network_.get(), /*remote=*/false);
   }
 }
 
 void Server::set_transport(comm::Transport* transport, bool remote) {
   if (transport == nullptr) {
-    transport_ = network_.get();
-    remote_ = false;
+    endpoint_.attach(network_.get(), /*remote=*/false);
     return;
   }
   FEDCAV_REQUIRE(transport->num_endpoints() == clients_.size() + 1,
                  "Server::set_transport: transport endpoint count must be "
                  "num_clients + 1");
-  transport_ = transport;
-  remote_ = remote;
+  endpoint_.attach(transport, remote);
 }
 
 void Server::set_adversary(std::shared_ptr<attack::Adversary> adversary,
@@ -185,435 +192,6 @@ void Server::ensure_replica_pool() {
   const std::size_t max_replicas = pool().size() + 1;
   if (replica_pool_ == nullptr || replica_pool_->max_replicas() != max_replicas) {
     replica_pool_ = std::make_unique<nn::ReplicaPool>(*global_model_, max_replicas);
-  }
-}
-
-ParticipantOutcome Server::run_participant_metadata(std::size_t client_index) {
-  if (remote_) return remote_participant_metadata(client_index);
-  obs::Span span("participant", "client");
-  span.arg("client", static_cast<double>(client_index));
-  ParticipantOutcome out;
-  Client& client = *clients_[client_index];
-  if (transport_ == nullptr) {
-    nn::ReplicaPool::Lease replica = replica_pool_->acquire();
-    ClientUpdate meta;
-    meta.client_id = client.id();
-    meta.num_samples = client.num_samples();
-    meta.inference_loss = client.compute_inference_loss(replica.model(), global_weights_);
-    out.metadata = std::move(meta);
-    return out;
-  }
-  // Weights travel through the fabric both ways so byte counters see
-  // the genuine serialized payloads. The simulation plays both endpoints
-  // of each link on this thread, which lets the NACK-and-retry protocol
-  // run synchronously: drain the link until a CRC-clean message for this
-  // round appears, otherwise NACK and retransmit with exponential
-  // simulated-time backoff, up to max_retries. Every control and
-  // retransmitted message is metered and fault-injected like any other
-  // traffic, and every transfer/backoff is charged to `elapsed_s` so
-  // the deadline covers the whole exchange, not just the last uplink.
-  const std::size_t rank = client_index + 1;
-
-  // Downlink: queue this participant's copy of the pre-encoded broadcast,
-  // then play the client endpoint's receive + NACK protocol. Sending here
-  // (not in the broadcast phase) keeps O(workers) wire images of the
-  // model alive in the fabric instead of O(cohort); per-link fault RNG
-  // streams make the fault outcomes identical either way.
-  transport_->send(kServerRank, rank, downlink_env_);
-  out.elapsed_s += transport_->model_transfer_seconds(downlink_env_.wire_size());
-  // Dense runs expect kGlobalModel, quantized runs kQuantGlobalModel; a
-  // quantized downlink is decoded to the dense weights here (which equal
-  // the server's in-place-dequantized global_weights_ bit-exactly — the
-  // codec is deterministic and the CRC already proved the wire intact).
-  const comm::MessageType down_type = config_.quant != comm::QuantMode::kNone
-                                          ? comm::MessageType::kQuantGlobalModel
-                                          : comm::MessageType::kGlobalModel;
-  std::optional<std::vector<float>> down;
-  for (std::size_t attempt = 0; attempt <= config_.max_retries && !down; ++attempt) {
-    while (auto wire = transport_->try_recv_wire(rank, kServerRank)) {
-      auto env = comm::Envelope::try_decode(*wire);
-      if (!env.has_value()) {
-        out.crc_failures += 1;  // corrupted or truncated in flight
-        continue;
-      }
-      if (env->type != down_type) {
-        out.stale_discards += 1;  // e.g. a NACK left over from a past round
-        continue;
-      }
-      ByteReader reader(env->payload);
-      if (down_type == comm::MessageType::kQuantGlobalModel) {
-        comm::QuantGlobalModelMsg msg = comm::QuantGlobalModelMsg::decode(reader);
-        if (msg.round != round_) {
-          out.stale_discards += 1;
-          continue;
-        }
-        down = comm::dequantize(msg.model);
-      } else {
-        comm::GlobalModelMsg msg = comm::GlobalModelMsg::decode(reader);
-        if (msg.round != round_) {
-          out.stale_discards += 1;  // duplicate from an earlier round
-          continue;
-        }
-        down = std::move(msg.weights);
-      }
-      break;
-    }
-    if (down.has_value() || attempt == config_.max_retries) break;
-    comm::NackMsg nack;
-    nack.round = round_;
-    nack.expected = down_type;
-    const comm::Envelope nack_env{comm::MessageType::kNack, nack.encode()};
-    transport_->send(rank, kServerRank, nack_env);
-    out.elapsed_s += transport_->model_transfer_seconds(nack_env.wire_size());
-    const double backoff =
-        config_.retry_backoff_s * static_cast<double>(1ULL << attempt);
-    transport_->add_link_delay(kServerRank, rank, backoff);
-    out.elapsed_s += backoff;
-    transport_->send(kServerRank, rank, downlink_env_);
-    out.elapsed_s += transport_->model_transfer_seconds(downlink_env_.wire_size());
-    out.retries += 1;
-  }
-  if (!down.has_value()) return out;  // unreachable client: dropout
-
-  // Inference loss of the verified downlink weights on a pooled replica.
-  // The decoded copy dies at scope end: phase ② re-loads the server's
-  // own global_weights_, which the f32 wire round-trip keeps bit-equal,
-  // so the server never holds O(cohort) decoded models.
-  double f_i = 0.0;
-  {
-    nn::ReplicaPool::Lease replica = replica_pool_->acquire();
-    f_i = client.compute_inference_loss(replica.model(), *down);
-    down.reset();
-  }
-
-  // Metadata uplink: 32 payload bytes of scalars, same NACK protocol.
-  comm::MetadataMsg meta;
-  meta.round = round_;
-  meta.client_id = client.id();
-  meta.num_samples = client.num_samples();
-  meta.inference_loss = f_i;
-  const comm::Envelope meta_env{comm::MessageType::kMetadataReport, meta.encode()};
-  std::optional<comm::MetadataMsg> received;
-  for (std::size_t attempt = 0; attempt <= config_.max_retries && !received; ++attempt) {
-    transport_->send(rank, kServerRank, meta_env);
-    out.elapsed_s += transport_->model_transfer_seconds(meta_env.wire_size());
-    while (auto wire = transport_->try_recv_wire(kServerRank, rank)) {
-      auto env = comm::Envelope::try_decode(*wire);
-      if (!env.has_value()) {
-        out.crc_failures += 1;
-        continue;
-      }
-      if (env->type != comm::MessageType::kMetadataReport) {
-        out.stale_discards += 1;
-        continue;
-      }
-      ByteReader reader(env->payload);
-      comm::MetadataMsg msg = comm::MetadataMsg::decode(reader);
-      if (msg.round != round_) {
-        out.stale_discards += 1;
-        continue;
-      }
-      received = msg;
-      break;
-    }
-    if (received.has_value() || attempt == config_.max_retries) break;
-    comm::NackMsg nack;
-    nack.round = round_;
-    nack.expected = comm::MessageType::kMetadataReport;
-    const comm::Envelope nack_env{comm::MessageType::kNack, nack.encode()};
-    transport_->send(kServerRank, rank, nack_env);
-    out.elapsed_s += transport_->model_transfer_seconds(nack_env.wire_size());
-    const double backoff =
-        config_.retry_backoff_s * static_cast<double>(1ULL << attempt);
-    transport_->add_link_delay(rank, kServerRank, backoff);
-    out.elapsed_s += backoff;
-    out.retries += 1;
-  }
-  if (!received.has_value()) return out;  // metadata lost: dropout
-  if (config_.uplink_deadline_s > 0.0 && out.elapsed_s > config_.uplink_deadline_s) {
-    out.deadline_missed = true;  // budget burned before training: dropout
-    return out;
-  }
-  ClientUpdate md;
-  md.client_id = received->client_id;
-  md.num_samples = received->num_samples;
-  md.inference_loss = received->inference_loss;
-  out.metadata = std::move(md);
-  return out;
-}
-
-std::optional<ClientUpdate> Server::run_participant_train(std::size_t client_index,
-                                                          double inference_loss,
-                                                          ParticipantOutcome& counters) {
-  if (remote_) return remote_participant_train(client_index, counters);
-  obs::Span span("participant", "client");
-  span.arg("client", static_cast<double>(client_index));
-  Client& client = *clients_[client_index];
-  // Derived mode: the batch-shuffle stream for this participation is
-  // Rng(derive_seed(seed, round, id, kClientTrain)) — the same stream a
-  // remote worker hosting this client derives for itself (§16).
-  if (config_.rng_mode == RngMode::kDerived) {
-    client.reseed_for_round(config_.seed, round_);
-  }
-  ClientUpdate update;
-  {
-    nn::ReplicaPool::Lease replica = replica_pool_->acquire();
-    update = client.train_update(replica.model(), global_weights_, effective_local_,
-                                 inference_loss);
-  }
-  const bool quant_on = config_.quant != comm::QuantMode::kNone;
-  if (transport_ == nullptr) {
-    if (quant_on) {
-      // Unmetered path: run the identical codec transform locally —
-      // delta code with error feedback, then reconstruction against the
-      // round's reference — so quantization's accuracy effect does not
-      // depend on whether the fabric is in the loop.
-      comm::QuantizedDelta coded = client.encode_quantized_update(
-          update.weights, global_weights_, config_.quant, config_.quant_keep);
-      update.weights = global_weights_;
-      comm::dequantize_add(update.weights, coded);
-    }
-    return update;
-  }
-
-  const std::size_t rank = client_index + 1;
-  const comm::MessageType report_type = quant_on
-                                            ? comm::MessageType::kQuantReport
-                                            : comm::MessageType::kClientReport;
-  comm::Envelope report_env;
-  if (quant_on) {
-    comm::QuantReportMsg up;
-    up.round = round_;
-    up.client_id = client.id();
-    up.num_samples = update.num_samples;
-    up.inference_loss = update.inference_loss;
-    // Encoded once, before the retry loop: retransmissions resend the
-    // same wire image, so the error-feedback residual advances exactly
-    // once per participation regardless of fabric faults.
-    up.delta = client.encode_quantized_update(update.weights, global_weights_,
-                                              config_.quant, config_.quant_keep);
-    if (obs::enabled()) {
-      static obs::Counter& saved = obs::registry().counter("comm.bytes_saved");
-      const std::size_t dense = dense_payload_bytes(global_weights_.size(), 32);
-      const std::size_t actual = 32 + up.delta.wire_size();
-      if (dense > actual) saved.add(dense - actual);
-    }
-    report_env = comm::Envelope{report_type, up.encode()};
-  } else {
-    comm::ClientReportMsg up;
-    up.round = round_;
-    up.client_id = client.id();
-    up.num_samples = update.num_samples;
-    up.inference_loss = update.inference_loss;
-    up.weights = update.weights;
-    report_env = comm::Envelope{report_type, up.encode()};
-  }
-
-  // Report uplink: same protocol; `counters.elapsed_s` arrives holding
-  // the phase-① time, so the deadline spans the full round trip. A
-  // received quantized delta is reconstructed against global_weights_
-  // (= w̃_t) right here, per slot, so the downstream fold sees dense
-  // weights either way and stays independent of the worker count.
-  std::optional<std::pair<std::vector<float>, double>> report;  // weights, f_i
-  for (std::size_t attempt = 0; attempt <= config_.max_retries && !report; ++attempt) {
-    transport_->send(rank, kServerRank, report_env);
-    counters.elapsed_s += transport_->model_transfer_seconds(report_env.wire_size());
-    while (auto wire = transport_->try_recv_wire(kServerRank, rank)) {
-      auto env = comm::Envelope::try_decode(*wire);
-      if (!env.has_value()) {
-        counters.crc_failures += 1;
-        continue;
-      }
-      if (env->type != report_type) {
-        counters.stale_discards += 1;
-        continue;
-      }
-      ByteReader reader(env->payload);
-      if (quant_on) {
-        comm::QuantReportMsg msg = comm::QuantReportMsg::decode(reader);
-        if (msg.round != round_) {
-          counters.stale_discards += 1;
-          continue;
-        }
-        std::vector<float> weights = global_weights_;
-        comm::dequantize_add(weights, msg.delta);
-        report.emplace(std::move(weights), msg.inference_loss);
-      } else {
-        comm::ClientReportMsg msg = comm::ClientReportMsg::decode(reader);
-        if (msg.round != round_) {
-          counters.stale_discards += 1;
-          continue;
-        }
-        report.emplace(std::move(msg.weights), msg.inference_loss);
-      }
-      break;
-    }
-    if (report.has_value() || attempt == config_.max_retries) break;
-    comm::NackMsg nack;
-    nack.round = round_;
-    nack.expected = report_type;
-    const comm::Envelope nack_env{comm::MessageType::kNack, nack.encode()};
-    transport_->send(kServerRank, rank, nack_env);
-    counters.elapsed_s += transport_->model_transfer_seconds(nack_env.wire_size());
-    const double backoff =
-        config_.retry_backoff_s * static_cast<double>(1ULL << attempt);
-    transport_->add_link_delay(rank, kServerRank, backoff);
-    counters.elapsed_s += backoff;
-    counters.retries += 1;
-  }
-  if (!report.has_value()) return std::nullopt;  // uplink exhausted
-  if (config_.uplink_deadline_s > 0.0 &&
-      counters.elapsed_s > config_.uplink_deadline_s) {
-    counters.deadline_missed = true;
-    return std::nullopt;
-  }
-  update.weights = std::move(report->first);
-  update.inference_loss = report->second;
-  return update;
-}
-
-ParticipantOutcome Server::remote_participant_metadata(std::size_t client_index) {
-  ParticipantOutcome out;
-  const std::size_t rank = client_index + 1;
-  // Downlink transfer time: the broadcast send happened in run_round,
-  // its simulated cost is still charged to this participant's exchange.
-  out.elapsed_s += transport_->model_transfer_seconds(downlink_env_.wire_size());
-  Stopwatch wall;
-  for (;;) {
-    while (auto wire = transport_->try_recv_wire(kServerRank, rank)) {
-      auto env = comm::Envelope::try_decode(*wire);
-      if (!env.has_value()) {
-        out.crc_failures += 1;
-        if (out.retries < config_.max_retries) {
-          comm::NackMsg nack;
-          nack.round = round_;
-          nack.expected = comm::MessageType::kMetadataReport;
-          transport_->send(kServerRank, rank,
-                           comm::Envelope{comm::MessageType::kNack, nack.encode()});
-          out.retries += 1;
-        }
-        continue;
-      }
-      if (env->type == comm::MessageType::kNack) {
-        // The worker lost or rejected the downlink: retransmit, bounded.
-        if (out.retries < config_.max_retries) {
-          transport_->send(kServerRank, rank, downlink_env_);
-          out.retries += 1;
-        }
-        continue;
-      }
-      if (env->type != comm::MessageType::kMetadataReport) {
-        out.stale_discards += 1;  // e.g. last round's report still queued
-        continue;
-      }
-      try {
-        ByteReader reader(env->payload);
-        const comm::MetadataMsg msg = comm::MetadataMsg::decode(reader);
-        if (msg.round != round_) {
-          out.stale_discards += 1;
-          continue;
-        }
-        out.elapsed_s += transport_->model_transfer_seconds(wire->size());
-        if (config_.uplink_deadline_s > 0.0 &&
-            out.elapsed_s > config_.uplink_deadline_s) {
-          out.deadline_missed = true;
-          return out;
-        }
-        ClientUpdate md;
-        md.client_id = msg.client_id;
-        md.num_samples = msg.num_samples;
-        md.inference_loss = msg.inference_loss;
-        out.metadata = std::move(md);
-        return out;
-      } catch (const Error&) {
-        out.stale_discards += 1;  // CRC-valid but structurally malformed
-      }
-    }
-    // Nothing queued: a closed peer can never answer (dropout); a live
-    // one gets remote_recv_timeout_s of wall clock before we give up.
-    if (transport_->peer_closed(rank)) return out;
-    if (wall.seconds() > config_.remote_recv_timeout_s) return out;
-    transport_->poll(0.05);
-  }
-}
-
-std::optional<ClientUpdate> Server::remote_participant_train(
-    std::size_t client_index, ParticipantOutcome& counters) {
-  const std::size_t rank = client_index + 1;
-  const bool quant_on = config_.quant != comm::QuantMode::kNone;
-  const comm::MessageType report_type = quant_on
-                                            ? comm::MessageType::kQuantReport
-                                            : comm::MessageType::kClientReport;
-  Stopwatch wall;
-  for (;;) {
-    while (auto wire = transport_->try_recv_wire(kServerRank, rank)) {
-      auto env = comm::Envelope::try_decode(*wire);
-      if (!env.has_value()) {
-        counters.crc_failures += 1;
-        if (counters.retries < config_.max_retries) {
-          comm::NackMsg nack;
-          nack.round = round_;
-          nack.expected = report_type;
-          transport_->send(kServerRank, rank,
-                           comm::Envelope{comm::MessageType::kNack, nack.encode()});
-          counters.retries += 1;
-        }
-        continue;
-      }
-      if (env->type == comm::MessageType::kNack) {
-        if (counters.retries < config_.max_retries) {
-          transport_->send(kServerRank, rank, downlink_env_);
-          counters.retries += 1;
-        }
-        continue;
-      }
-      if (env->type != report_type) {
-        counters.stale_discards += 1;
-        continue;
-      }
-      try {
-        ByteReader reader(env->payload);
-        ClientUpdate update;
-        if (quant_on) {
-          comm::QuantReportMsg msg = comm::QuantReportMsg::decode(reader);
-          if (msg.round != round_) {
-            counters.stale_discards += 1;
-            continue;
-          }
-          update.client_id = msg.client_id;
-          update.num_samples = msg.num_samples;
-          update.inference_loss = msg.inference_loss;
-          update.weights = global_weights_;
-          comm::dequantize_add(update.weights, msg.delta);
-        } else {
-          comm::ClientReportMsg msg = comm::ClientReportMsg::decode(reader);
-          if (msg.round != round_) {
-            counters.stale_discards += 1;
-            continue;
-          }
-          if (msg.weights.size() != global_weights_.size()) {
-            counters.stale_discards += 1;  // wrong model: never aggregated
-            continue;
-          }
-          update.client_id = msg.client_id;
-          update.num_samples = msg.num_samples;
-          update.inference_loss = msg.inference_loss;
-          update.weights = std::move(msg.weights);
-        }
-        counters.elapsed_s += transport_->model_transfer_seconds(wire->size());
-        if (config_.uplink_deadline_s > 0.0 &&
-            counters.elapsed_s > config_.uplink_deadline_s) {
-          counters.deadline_missed = true;
-          return std::nullopt;
-        }
-        return update;
-      } catch (const Error&) {
-        counters.stale_discards += 1;
-      }
-    }
-    if (transport_->peer_closed(rank)) return std::nullopt;  // upload failure
-    if (wall.seconds() > config_.remote_recv_timeout_s) return std::nullopt;
-    transport_->poll(0.05);
   }
 }
 
@@ -736,7 +314,7 @@ void Server::load_checkpoint(const std::string& path) {
 void Server::write_telemetry(const std::string& trace_path,
                              const std::string& metrics_path) const {
   if (!obs::enabled()) return;
-  if (transport_ != nullptr) transport_->publish_metrics();
+  if (endpoint_.transport() != nullptr) endpoint_.transport()->publish_metrics();
   if (!trace_path.empty()) obs::Tracer::instance().write_chrome_trace_file(trace_path);
   if (!metrics_path.empty()) obs::registry().write_summary_file(metrics_path);
 }
@@ -744,7 +322,8 @@ void Server::write_telemetry(const std::string& trace_path,
 metrics::RoundRecord Server::run_round() {
   ++round_;
   if (lr_schedule_ != nullptr) effective_local_.lr = lr_schedule_->lr(round_);
-  if (transport_ != nullptr) transport_->begin_round(round_);
+  comm::Transport* const transport = endpoint_.transport();
+  if (transport != nullptr) transport->begin_round(round_);
   ensure_replica_pool();
   Stopwatch watch;
   metrics::RoundRecord record;
@@ -752,14 +331,11 @@ metrics::RoundRecord Server::run_round() {
   obs::Span round_span("round", "round");
   round_span.arg("round", static_cast<double>(round_));
 
-  const std::uint64_t bytes_down_before =
-      transport_ ? transport_->stats(kServerRank).bytes_sent : 0;
-  std::uint64_t bytes_up_before = 0;
-  if (transport_ != nullptr) {
-    for (std::size_t i = 1; i <= clients_.size(); ++i) {
-      bytes_up_before += transport_->stats(i).bytes_sent;
-    }
-  }
+  // Downlink bytes are rank 0's sends; uplink bytes everyone else's.
+  const auto bytes_down = [&] { return transport->stats(kServerRank).bytes_sent; };
+  const auto bytes_up = [&] { return transport->total_stats().bytes_sent - bytes_down(); };
+  const std::uint64_t bytes_down_before = transport ? bytes_down() : 0;
+  const std::uint64_t bytes_up_before = transport ? bytes_up() : 0;
 
   std::vector<std::size_t> participants;
   {
@@ -783,86 +359,53 @@ metrics::RoundRecord Server::run_round() {
       config_.shards != 0 ? config_.shards : default_round_shards();
   ShardedRoundEngine engine(pool(), participants.size(), shard_request);
 
-  // Downlink broadcast: the global model is serialized once; the encoded
-  // envelope is kept for the per-participant sends inside phase ① and
-  // for NACK retransmissions. Queueing per-participant copies here would
-  // put O(cohort × model) wire images in the fabric at once; sending
-  // from the participant's own exchange bounds that at O(workers).
-  //
-  // Quantized runs code the broadcast here and ADOPT THE DECODED IMAGE as
-  // the round's reference w̃_t: every later use of global_weights_ (the
-  // clients' training start, the synthetic carried-mass update, the
-  // strategy's base, the uplink-delta reconstruction) then agrees
-  // bit-exactly with what a client decodes from the wire. fp16 makes the
-  // round trip a no-op from round 2 on (requantizing an fp16 image is
-  // exact); int8's per-round coding error is absorbed by the clients'
-  // error-feedback residuals.
-  if (config_.quant != comm::QuantMode::kNone) {
+  // Downlink: the global model is encoded once per round. Quantized runs
+  // ADOPT THE DECODED IMAGE as the round's reference w̃_t: every later use
+  // of global_weights_ (the clients' training start, the synthetic
+  // carried-mass update, the strategy's base, the uplink-delta
+  // reconstruction) then agrees bit-exactly with what a client decodes
+  // from the wire. fp16 makes the round trip a no-op from round 2 on
+  // (requantizing an fp16 image is exact); int8's per-round coding error
+  // is absorbed by the clients' error-feedback residuals.
+  {
     PhaseTimer phase("broadcast", round_, record.phases.broadcast);
-    comm::QuantizedDelta coded = comm::quantize(global_weights_, config_.quant);
-    global_weights_ = comm::dequantize(coded);
-    if (obs::enabled()) {
-      static obs::Counter& saved = obs::registry().counter("comm.bytes_saved");
-      const std::size_t dense = dense_payload_bytes(global_weights_.size(), 8);
-      const std::size_t actual = 8 + coded.wire_size();
-      if (dense > actual) saved.add(dense - actual);
-    }
-    if (transport_ != nullptr) {
-      comm::QuantGlobalModelMsg down;
-      down.round = round_;
-      down.model = std::move(coded);
-      downlink_env_ =
-          comm::Envelope{comm::MessageType::kQuantGlobalModel, down.encode()};
-    }
-  } else if (transport_ != nullptr) {
-    PhaseTimer phase("broadcast", round_, record.phases.broadcast);
-    comm::GlobalModelMsg down;
-    down.round = round_;
-    down.weights = global_weights_;
-    downlink_env_ = comm::Envelope{comm::MessageType::kGlobalModel, down.encode()};
+    endpoint_.begin_round(round_, global_weights_);
   }
 
-  // Phase ①: parallel metadata exchange (downlink + inference loss +
-  // scalar report). Results land in fixed slots so every later loop is
+  // Phase ①: metadata exchange (downlink + inference loss + scalar
+  // report), parallel in-process and serial in participant order over a
+  // remote transport. Results land in fixed slots so every later loop is
   // deterministic (HPC-guide reduction idiom). No model-sized state per
   // participant survives this phase.
   std::vector<ParticipantOutcome> outcomes(participants.size());
   {
     PhaseTimer phase("metadata", round_, record.phases.metadata);
-    if (remote_) {
-      // Broadcast to every participant before collecting anything, so
-      // all workers train concurrently; then collect serially in fixed
-      // participant order (a SocketTransport is single-threaded).
-      for (std::size_t i = 0; i < participants.size(); ++i) {
-        transport_->send(kServerRank, participants[i] + 1, downlink_env_);
-      }
-    }
+    endpoint_.begin_phase(participants);
     engine.run_metadata(
         [&](std::size_t i) {
-          outcomes[i] = run_participant_metadata(participants[i]);
+          Client& client = *clients_[participants[i]];
+          outcomes[i] = endpoint_.exchange_metadata(
+              participants[i] + 1, client, [&](const nn::Weights& w) {
+                nn::ReplicaPool::Lease replica = replica_pool_->acquire();
+                return client.compute_inference_loss(replica.model(), w);
+              });
         },
-        remote_);
+        endpoint_.remote());
   }
 
   // Collect, in fixed participant order: sampled clients whose exchange
   // failed (crash, retry exhaustion, deadline) become dropouts — the
   // fault-fabric analogue of a straggler.
   std::vector<ClientUpdate> metadata;    // scalars only; weights stay empty
-  std::vector<std::size_t> surviving;
   std::vector<std::size_t> survivor_slots;  // original sampled slot (shard owner)
   std::vector<double> survivor_elapsed;  // phase-① simulated time, carried into ②
   metadata.reserve(outcomes.size());
-  surviving.reserve(outcomes.size());
   survivor_slots.reserve(outcomes.size());
   survivor_elapsed.reserve(outcomes.size());
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    record.retries += outcomes[i].retries;
-    record.crc_failures += outcomes[i].crc_failures;
-    record.stale_discards += outcomes[i].stale_discards;
-    if (outcomes[i].deadline_missed) record.deadline_misses += 1;
+    tally(record, outcomes[i]);
     if (outcomes[i].metadata.has_value()) {
       metadata.push_back(std::move(*outcomes[i].metadata));
-      surviving.push_back(participants[i]);
       survivor_slots.push_back(i);
       survivor_elapsed.push_back(outcomes[i].elapsed_s);
     } else {
@@ -881,60 +424,42 @@ metrics::RoundRecord Server::run_round() {
     // order is pinned by the golden runs), then apply the legacy
     // keep-first guarantee before committing anything to the ledgers.
     std::vector<char> keep(metadata.size(), 1);
-    std::size_t kept_count = 0;
-    if (config_.rng_mode == RngMode::kDerived) {
+    for (std::size_t i = 0; i < metadata.size(); ++i) {
       // Derived mode: one pure coin per (round, client) — any process
       // that knows the seed reaches the same verdict, so a remote worker
       // decides its own fate locally (skips training + report) and the
-      // server's filter here agrees without coordination. No keep-first
-      // rescue: a worker deciding alone cannot know it was the last
-      // survivor, so a fully-straggled round skips via quorum instead.
-      for (std::size_t i = 0; i < metadata.size(); ++i) {
-        if (derived_bernoulli(config_.seed, round_, metadata[i].client_id,
-                              RngStream::kStraggler, config_.straggler_drop_prob)) {
-          keep[i] = 0;
-        } else {
-          ++kept_count;
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i < metadata.size(); ++i) {
-        if (straggler_rng_.bernoulli(config_.straggler_drop_prob)) {
-          keep[i] = 0;
-        } else {
-          ++kept_count;
-        }
-      }
-      if (kept_count == 0 && config_.min_aggregate_clients <= 1) {
-        // Everyone dropped: keep the first report so the round is defined
-        // (legacy guarantee; a quorum > 1 skips the round instead).
-        keep.front() = 1;
-        kept_count = 1;
-      }
+      // server's filter here agrees without coordination.
+      keep[i] = config_.rng_mode == RngMode::kDerived
+                    ? !derived_bernoulli(config_.seed, round_, metadata[i].client_id,
+                                         RngStream::kStraggler, config_.straggler_drop_prob)
+                    : !straggler_rng_.bernoulli(config_.straggler_drop_prob);
     }
-    std::vector<ClientUpdate> kept_meta;
-    std::vector<std::size_t> kept_participants;
-    std::vector<std::size_t> kept_slots;
-    std::vector<double> kept_elapsed;
-    kept_meta.reserve(kept_count);
-    kept_participants.reserve(kept_count);
-    kept_slots.reserve(kept_count);
-    kept_elapsed.reserve(kept_count);
+    // Everyone dropped: legacy mode keeps the first report so the round
+    // is defined (a quorum > 1 skips the round instead). Derived mode has
+    // no rescue — a worker deciding alone cannot know it was the last
+    // survivor — so a fully-straggled round skips via quorum.
+    if (config_.rng_mode == RngMode::kLegacyStream && config_.min_aggregate_clients <= 1 &&
+        std::find(keep.begin(), keep.end(), 1) == keep.end()) {
+      keep.front() = 1;
+    }
+    // Compact the survivor columns in place; each drop books to its shard.
+    std::size_t kept = 0;
     for (std::size_t i = 0; i < metadata.size(); ++i) {
-      if (keep[i]) {
-        kept_meta.push_back(std::move(metadata[i]));
-        kept_participants.push_back(surviving[i]);
-        kept_slots.push_back(survivor_slots[i]);
-        kept_elapsed.push_back(survivor_elapsed[i]);
-      } else {
+      if (!keep[i]) {
         engine.note_straggler(survivor_slots[i]);
+        continue;
       }
+      if (kept != i) {
+        metadata[kept] = std::move(metadata[i]);
+        survivor_slots[kept] = survivor_slots[i];
+        survivor_elapsed[kept] = survivor_elapsed[i];
+      }
+      ++kept;
     }
-    record.straggler_drops = metadata.size() - kept_meta.size();
-    metadata = std::move(kept_meta);
-    surviving = std::move(kept_participants);
-    survivor_slots = std::move(kept_slots);
-    survivor_elapsed = std::move(kept_elapsed);
+    record.straggler_drops = metadata.size() - kept;
+    metadata.resize(kept);
+    survivor_slots.resize(kept);
+    survivor_elapsed.resize(kept);
   }
   record.participants = metadata.size();
   FEDCAV_REQUIRE(record.sampled ==
@@ -956,27 +481,53 @@ metrics::RoundRecord Server::run_round() {
 
   const bool attack_now = !record.skipped && adversary_ != nullptr &&
                           attack_rounds_.count(round_) > 0 && !metadata.empty();
-  const bool streaming = strategy_->streaming_aggregation();
   // Pipeline window: how many participants may train (and thus how many
   // full updates may be materialized) ahead of the fold cursor in
   // phase ② — the same O(workers × model) bound the old wave barrier
   // enforced, without the barrier.
   const std::size_t wave = std::max<std::size_t>(std::size_t{1}, pool().size());
 
+  // A phase-② upload failure after a successful metadata phase: the
+  // client's γ mass was already committed, so fold the unchanged global
+  // weights in its place — the weighted average then carries γ_j of w_t
+  // forward instead of silently renormalizing over the survivors.
+  auto make_synthetic = [&](std::size_t slot) {
+    ClientUpdate synthetic = metadata[slot];  // the committed scalars
+    synthetic.weights = global_weights_;
+    record.upload_failures += 1;
+    engine.note_upload_failure(survivor_slots[slot]);
+    return synthetic;
+  };
+
+  // Phase ② exchange of survivor `i`, training in-process on a pooled
+  // replica. nullopt = upload failure.
+  auto exchange_report = [&](std::size_t i, ParticipantOutcome& counters) {
+    const std::size_t client_index = participants[survivor_slots[i]];
+    Client& client = *clients_[client_index];
+    return endpoint_.exchange_report(client_index + 1, client, [&] {
+      // Derived mode: the batch-shuffle stream for this participation is
+      // Rng(derive_seed(seed, round, id, kClientTrain)) — the same stream
+      // a remote worker hosting this client derives for itself (§16).
+      if (config_.rng_mode == RngMode::kDerived) client.reseed_for_round(config_.seed, round_);
+      nn::ReplicaPool::Lease replica = replica_pool_->acquire();
+      return client.train_update(replica.model(), global_weights_, effective_local_,
+                                 metadata[i].inference_loss);
+    }, counters);
+  };
+
   // Phase ② driver: stream survivors [first_slot, end) through the
-  // sharded engine — training overlaps the serial ascending-order folds
-  // instead of phase-barriering each wave. `sink(slot, update)` receives
-  // slots strictly in order (nullopt = upload failure), so the
-  // downstream fold is independent of the worker count. Updates live in
-  // a ring of `wave` cells: the scheduler guarantees train(s + wave)
+  // sharded engine into the strategy — training overlaps the serial
+  // ascending-order accumulate() calls instead of phase-barriering each
+  // wave, so the fold is independent of the worker count. Updates live
+  // in a ring of `wave` cells: the scheduler guarantees train(s + wave)
   // cannot start before fold(s) freed its cell. Fresh per-slot counters
   // avoid double-counting the phase-① tallies already in the record.
   struct StreamSlot {
     std::optional<ClientUpdate> update;
     ParticipantOutcome counters;
   };
-  auto run_stream = [&](std::size_t first_slot, auto&& sink) {
-    const std::size_t n = surviving.size();
+  auto run_stream = [&](std::size_t first_slot) {
+    const std::size_t n = metadata.size();
     if (first_slot >= n) return;
     // The span keeps the historical "local_update" name: training
     // dominates the stream, and the serial folds it overlaps get their
@@ -988,90 +539,67 @@ metrics::RoundRecord Server::run_round() {
       StreamSlot& slot = ring[i % ring.size()];
       slot.counters = ParticipantOutcome{};
       slot.counters.elapsed_s = survivor_elapsed[i];
-      slot.update = run_participant_train(surviving[i],
-                                          metadata[i].inference_loss,
-                                          slot.counters);
+      slot.update = exchange_report(i, slot.counters);
     };
     auto fold = [&](std::size_t i) {
       StreamSlot& slot = ring[i % ring.size()];
-      record.retries += slot.counters.retries;
-      record.crc_failures += slot.counters.crc_failures;
-      record.stale_discards += slot.counters.stale_discards;
-      if (slot.counters.deadline_missed) record.deadline_misses += 1;
-      sink(i, std::move(slot.update));
+      tally(record, slot.counters);
+      strategy_->accumulate(slot.update.has_value() ? std::move(*slot.update)
+                                                    : make_synthetic(i));
       slot.update.reset();
     };
     engine.run_streaming(
         first_slot, n, wave, train, fold,
-        [&](std::size_t i) { return survivor_slots[i]; }, remote_);
+        [&](std::size_t i) { return survivor_slots[i]; }, endpoint_.remote());
   };
 
-  // A phase-② upload failure after a successful metadata phase: the
-  // client's γ mass was already committed, so fold the unchanged global
-  // weights in its place — the weighted average then carries γ_j of w_t
-  // forward instead of silently renormalizing over the survivors.
-  auto make_synthetic = [&](std::size_t slot) {
-    ClientUpdate synthetic;
-    synthetic.client_id = metadata[slot].client_id;
-    synthetic.num_samples = metadata[slot].num_samples;
-    synthetic.inference_loss = metadata[slot].inference_loss;
-    synthetic.weights = global_weights_;
-    record.upload_failures += 1;
-    engine.note_upload_failure(survivor_slots[slot]);
-    return synthetic;
-  };
-
-  bool reversed = false;
-  std::vector<double> losses(metadata.size());
-
-  if (!record.skipped && streaming) {
-    // Streaming path: γ is a pure function of the metadata scalars, so
-    // detection and aggregation weights are decided before any full
-    // update is materialized, and each report is folded into the
-    // accumulator and freed — peak model memory stays O(wave × model).
-    for (std::size_t i = 0; i < metadata.size(); ++i) {
-      losses[i] = metadata[i].inference_loss;
-    }
+  if (!record.skipped) {
+    // Phase ②, one path for every strategy. γ is a pure function of the
+    // metadata scalars, so detection and aggregation weights are decided
+    // before any full update exists. A streaming strategy folds each
+    // report into its accumulator and frees it — peak model memory stays
+    // O(wave × model); the others buffer the reports and aggregate them
+    // at finish_aggregation() (AggregationStrategy's defaults).
+    endpoint_.begin_phase();
 
     // Attack rounds: train the victim (first survivor) up front so the
     // adversary has a real update to corrupt. The corrupted report is
     // what the server "received": its loss drives detection and its
-    // scalars drive γ, exactly as in the materializing path.
+    // scalars drive γ.
     std::optional<ClientUpdate> victim_update;
-    bool victim_trained = false;
     if (attack_now) {
       ParticipantOutcome victim_counters;
       {
         PhaseTimer phase("local_update", round_, record.phases.local_update);
         victim_counters.elapsed_s = survivor_elapsed[0];
-        victim_update = run_participant_train(surviving[0], metadata[0].inference_loss,
-                                              victim_counters);
+        victim_update = exchange_report(0, victim_counters);
       }
-      victim_trained = true;
-      record.retries += victim_counters.retries;
-      record.crc_failures += victim_counters.crc_failures;
-      record.stale_discards += victim_counters.stale_discards;
-      if (victim_counters.deadline_missed) record.deadline_misses += 1;
+      tally(record, victim_counters);
       if (victim_update.has_value()) {
         PhaseTimer phase("attack", round_, record.phases.attack);
         attack::AttackContext ctx;
         ctx.global = &global_weights_;
         ctx.round = round_;
         // The cohort the adversary scales against is the one that
-        // reaches aggregation, and the honest γ estimate needs only the
-        // metadata scalars for a streaming strategy.
+        // reaches aggregation; the honest γ estimate comes from the
+        // metadata scalars.
         ctx.participants = metadata.size();
         ctx.estimated_gamma = strategy_->aggregation_weights(metadata).front();
         *victim_update = adversary_->corrupt(std::move(*victim_update), ctx);
         metadata[0].inference_loss = victim_update->inference_loss;
         metadata[0].num_samples = victim_update->num_samples;
-        losses[0] = victim_update->inference_loss;
         record.attacked = true;
       }
       // Victim upload failure: nothing reached the server to corrupt;
       // the round proceeds un-attacked and slot 0 folds as carried mass.
     }
 
+    std::vector<double> losses(metadata.size());
+    std::vector<std::size_t> surviving(metadata.size());  // client indices
+    for (std::size_t i = 0; i < metadata.size(); ++i) {
+      losses[i] = metadata[i].inference_loss;
+      surviving[i] = participants[survivor_slots[i]];
+    }
     {
       PhaseTimer phase("detect", round_, record.phases.detect);
       sampler_.observe_losses(surviving, losses);
@@ -1087,95 +615,28 @@ metrics::RoundRecord Server::run_round() {
                           << detection.votes << "/" << detection.voters
                           << " votes), reversing global model";
           global_weights_ = cached_weights_;
-          reversed = true;
+          record.reversed = true;
         }
       }
-      record.reversed = reversed;
     }
 
-    if (!reversed) {
+    // Reversed rounds skip phase ② for the remaining survivors entirely:
+    // their full updates would be discarded anyway (DESIGN.md §11).
+    if (!record.reversed) {
       {
         PhaseTimer phase("aggregate", round_, record.phases.aggregate);
         cached_weights_ = global_weights_;
         if (config_.detection_enabled) detector_.commit(losses);
         strategy_->begin_aggregation(global_weights_, metadata);
-        if (victim_trained) {
-          if (victim_update.has_value()) {
-            strategy_->accumulate(std::move(*victim_update));
-          } else {
-            strategy_->accumulate(make_synthetic(0));
-          }
+        if (attack_now) {
+          strategy_->accumulate(victim_update.has_value() ? std::move(*victim_update)
+                                                          : make_synthetic(0));
           victim_update.reset();
         }
       }
-      run_stream(victim_trained ? 1 : 0,
-                 [&](std::size_t slot, std::optional<ClientUpdate> u) {
-                   if (u.has_value()) {
-                     strategy_->accumulate(std::move(*u));
-                   } else {
-                     strategy_->accumulate(make_synthetic(slot));
-                   }
-                 });
+      run_stream(attack_now ? 1 : 0);
       PhaseTimer phase("aggregate", round_, record.phases.aggregate);
       global_weights_ = strategy_->finish_aggregation();
-    }
-    // Reversed rounds skip phase ② for the remaining survivors entirely:
-    // their full updates would be discarded anyway (DESIGN.md §11 — a
-    // deliberate behavioral change from the materializing flow, which
-    // trained everyone before detection could reject the round).
-  } else if (!record.skipped) {
-    // Materializing fallback for strategies that need every update at
-    // once (order statistics like the robust rules, or user strategies
-    // that don't opt into streaming). Exact pre-streaming semantics at
-    // the old O(cohort × model) cost: train everyone, corrupt the first
-    // survivor in place, detect on the post-corruption losses, then run
-    // the classic one-shot aggregate().
-    std::vector<ClientUpdate> updates(metadata.size());
-    run_stream(0, [&](std::size_t slot, std::optional<ClientUpdate> u) {
-      updates[slot] = u.has_value() ? std::move(*u) : make_synthetic(slot);
-    });
-
-    if (attack_now) {
-      PhaseTimer phase("attack", round_, record.phases.attack);
-      attack::AttackContext ctx;
-      ctx.global = &global_weights_;
-      ctx.round = round_;
-      ctx.participants = updates.size();
-      const std::vector<double> honest_gamma = strategy_->aggregation_weights(updates);
-      ctx.estimated_gamma = honest_gamma.front();
-      updates.front() = adversary_->corrupt(std::move(updates.front()), ctx);
-      record.attacked = true;
-    }
-
-    {
-      PhaseTimer phase("detect", round_, record.phases.detect);
-      for (std::size_t i = 0; i < updates.size(); ++i) {
-        losses[i] = updates[i].inference_loss;
-      }
-      sampler_.observe_losses(surviving, losses);
-      record.mean_inference_loss = 0.0;
-      for (double f : losses) record.mean_inference_loss += f;
-      record.mean_inference_loss /= static_cast<double>(losses.size());
-      record.max_inference_loss = *std::max_element(losses.begin(), losses.end());
-      if (config_.detection_enabled) {
-        const core::DetectionResult detection = detector_.check(losses);
-        record.detection_fired = detection.abnormal;
-        if (detection.abnormal) {
-          FEDCAV_LOG_INFO << "round " << round_ << ": detector fired ("
-                          << detection.votes << "/" << detection.voters
-                          << " votes), reversing global model";
-          global_weights_ = cached_weights_;
-          reversed = true;
-        }
-      }
-      record.reversed = reversed;
-    }
-
-    if (!reversed) {
-      PhaseTimer phase("aggregate", round_, record.phases.aggregate);
-      cached_weights_ = global_weights_;
-      if (config_.detection_enabled) detector_.commit(losses);
-      global_weights_ = strategy_->aggregate(global_weights_, updates);
     }
   }
 
@@ -1190,19 +651,9 @@ metrics::RoundRecord Server::run_round() {
 
   if (!record.skipped && obs::enabled()) {
     engine.publish_metrics();
-    // Analytic peak of aggregation-owned tensor bytes: the streaming
-    // path holds one f64 accumulator plus at most `wave` materialized f32
-    // updates; the buffered path holds every survivor's update.
-    const double dim = static_cast<double>(global_weights_.size());
     static obs::Gauge& peak_gauge = obs::registry().gauge("agg.peak_bytes");
-    const double peak =
-        streaming
-            ? dim * (static_cast<double>(sizeof(double)) +
-                     static_cast<double>(std::min(wave, metadata.size())) *
-                         static_cast<double>(sizeof(float)))
-            : dim * static_cast<double>(metadata.size()) *
-                  static_cast<double>(sizeof(float));
-    peak_gauge.set(peak);
+    peak_gauge.set(aggregation_peak_bytes(*strategy_, global_weights_.size(),
+                                          metadata.size(), wave));
   }
 
   {
@@ -1219,14 +670,10 @@ metrics::RoundRecord Server::run_round() {
   }
 
   record.wall_seconds = watch.seconds();
-  if (transport_ != nullptr) {
-    record.bytes_down = transport_->stats(kServerRank).bytes_sent - bytes_down_before;
-    std::uint64_t bytes_up_after = 0;
-    for (std::size_t i = 1; i <= clients_.size(); ++i) {
-      bytes_up_after += transport_->stats(i).bytes_sent;
-    }
-    record.bytes_up = bytes_up_after - bytes_up_before;
-    if (obs::enabled()) transport_->publish_metrics();
+  if (transport != nullptr) {
+    record.bytes_down = bytes_down() - bytes_down_before;
+    record.bytes_up = bytes_up() - bytes_up_before;
+    if (obs::enabled()) transport->publish_metrics();
   }
   if (obs::enabled()) {
     auto& reg = obs::registry();

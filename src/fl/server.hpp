@@ -14,6 +14,7 @@
 #include "src/core/detector.hpp"
 #include "src/data/dataset.hpp"
 #include "src/fl/client.hpp"
+#include "src/fl/protocol.hpp"
 #include "src/fl/sampler.hpp"
 #include "src/fl/strategy.hpp"
 #include "src/nn/replica_pool.hpp"
@@ -64,10 +65,12 @@ struct ServerConfig {
   bool use_network = true;
   comm::NetworkConfig network;
   /// Remote mode only (set_transport with remote = true): wall-clock
-  /// budget to hear back from a live worker before the server gives up
-  /// on it (dropout in phase ①, upload failure in phase ②). A worker
-  /// whose connection dies is detected immediately via peer_closed();
-  /// this timeout only catches workers that hang without disconnecting.
+  /// budget of each collect phase (phase ①'s metadata, phase ②'s
+  /// reports). A worker not heard from by then is given up on (dropout
+  /// in phase ①, upload failure in phase ②), so k silent workers cost at
+  /// most one timeout per phase, not k. A worker whose connection dies
+  /// is detected immediately via peer_closed(); this timeout only catches
+  /// workers that hang without disconnecting.
   double remote_recv_timeout_s = 30.0;
   /// Lossy wire codec for model traffic (DESIGN.md §13). kNone keeps the
   /// dense f32 protocol. fp16/int8 quantize the broadcast once per round
@@ -119,6 +122,8 @@ class Server {
          std::unique_ptr<AggregationStrategy> strategy,
          std::vector<std::unique_ptr<Client>> clients, data::Dataset test_set,
          ServerConfig config);
+  Server(const Server&) = delete;  // endpoint_ refers to config_
+  Server& operator=(const Server&) = delete;
 
   /// Attach an adversary that hijacks one sampled participant's update
   /// in each round listed in `attack_rounds` (1-based round numbers).
@@ -219,9 +224,10 @@ class Server {
   /// `remote = true` the server is rank 0 of a real federation: phase ①
   /// broadcasts to every participant up front, then both phases collect
   /// uplinks from worker processes in fixed participant order, turning a
-  /// closed peer into a dropout / upload failure. Remote mode requires
-  /// one worker rank per client (num_endpoints == num_clients + 1).
-  /// nullptr restores the owned fabric. Non-owning; call before run().
+  /// closed peer into a dropout / upload failure (the two waiting
+  /// policies of src/fl/protocol.hpp). Remote mode requires one worker
+  /// rank per client (num_endpoints == num_clients + 1). nullptr restores
+  /// the owned fabric. Non-owning; call before run().
   void set_transport(comm::Transport* transport, bool remote);
 
   /// The daemon/worker tools address clients by worker rank - 1.
@@ -234,28 +240,6 @@ class Server {
   const LocalTrainConfig& effective_local() const { return effective_local_; }
 
  private:
-  /// Phase ①: downlink protocol + inference loss on a pooled replica +
-  /// scalar metadata uplink. Fills the outcome's counters and the full
-  /// simulated elapsed time of the exchange so far.
-  ParticipantOutcome run_participant_metadata(std::size_t client_index);
-  /// Phase ②: local training on a pooled replica + full-report uplink.
-  /// `counters.elapsed_s` must carry the phase-① time in (deadline spans
-  /// the whole exchange); retry/CRC/stale/deadline counters accumulate
-  /// into `counters`. Returns nullopt on upload failure.
-  std::optional<ClientUpdate> run_participant_train(std::size_t client_index,
-                                                    double inference_loss,
-                                                    ParticipantOutcome& counters);
-  /// Remote-mode phase ①: the downlink was already broadcast by
-  /// run_round; await this participant's metadata uplink, answering
-  /// worker NACKs with downlink retransmissions. No metadata in the
-  /// returned outcome = dropout (peer closed, hang timeout, or
-  /// deadline).
-  ParticipantOutcome remote_participant_metadata(std::size_t client_index);
-  /// Remote-mode phase ②: await the participant's full report (the
-  /// worker trains unprompted after the downlink). nullopt = upload
-  /// failure.
-  std::optional<ClientUpdate> remote_participant_train(std::size_t client_index,
-                                                       ParticipantOutcome& counters);
   /// (Re)build the replica pool sized to the active thread pool.
   void ensure_replica_pool();
   ThreadPool& pool() const;
@@ -272,12 +256,11 @@ class Server {
   core::AnomalyDetector detector_;
   metrics::TrainingHistory history_;
   std::unique_ptr<comm::InMemoryNetwork> network_;
-  /// The fabric the round protocol actually runs over: network_.get()
-  /// by default, or whatever set_transport installed (non-owning).
+  /// The server's end of the participant exchange, over network_.get() by
+  /// default or whatever set_transport installed (non-owning).
   /// Checkpoints always serialize the owned network_ — a remote
   /// transport has no savable state.
-  comm::Transport* transport_ = nullptr;
-  bool remote_ = false;
+  ServerEndpoint endpoint_{config_};
   ParticipantSampler sampler_;
   Rng straggler_rng_;
   std::size_t round_ = 0;
@@ -290,9 +273,6 @@ class Server {
   /// thread pool (+1 for the inline caller), so a round's model memory
   /// is O(K × model) independent of cohort size (DESIGN.md §11).
   std::unique_ptr<nn::ReplicaPool> replica_pool_;
-  /// This round's encoded downlink (global model) — kept for NACK
-  /// retransmissions so retries don't re-serialize the weights.
-  comm::Envelope downlink_env_;
 };
 
 }  // namespace fedcav::fl

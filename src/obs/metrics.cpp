@@ -88,8 +88,11 @@ double Histogram::quantile(double q) const {
     if (seen > rank) {
       if (b == 0) return min();
       if (b == kBuckets - 1) return max();
-      // Geometric midpoint of octave [2^(b-33), 2^(b-32)).
-      return std::ldexp(std::sqrt(0.5), static_cast<int>(b) - 32);
+      // Geometric midpoint of octave [2^(b-33), 2^(b-32)), clamped to
+      // the observed range: a sparsely filled octave's midpoint can lie
+      // outside it.
+      const double mid = std::ldexp(std::sqrt(0.5), static_cast<int>(b) - 32);
+      return std::min(std::max(mid, min()), max());
     }
   }
   return max();

@@ -178,33 +178,39 @@ fl::SimulationConfig federation_config_from(
   return tools::federation_config(cli);
 }
 
-fl::SimulationConfig default_federation_config() {
-  return federation_config_from({});
-}
-
 TEST(Daemon, BitIdenticalToInProcessRun) {
   constexpr std::size_t kClients = 4;
   constexpr std::size_t kRounds = 3;
-  const FederationRun run = run_federation(kClients, kRounds);
-  for (std::size_t i = 0; i < run.exit_codes.size(); ++i) {
-    EXPECT_EQ(run.exit_codes[i], 0) << (i == 0 ? "daemon" : "worker") << " #" << i;
+  // The dense wire, and the quantized one: int8 downlink plus an int8
+  // top-k(0.25) uplink delta with error feedback on both ends.
+  const std::vector<std::vector<std::string>> wires = {
+      {}, {"--quant", "int8", "--quant-keep", "0.25"}};
+  for (const std::vector<std::string>& wire : wires) {
+    const std::string label = wire.empty() ? "dense" : "int8";
+    FederationOptions opts;
+    opts.common = wire;
+    const FederationRun run = run_federation(kClients, kRounds, opts);
+    for (std::size_t i = 0; i < run.exit_codes.size(); ++i) {
+      EXPECT_EQ(run.exit_codes[i], 0)
+          << label << ": " << (i == 0 ? "daemon" : "worker") << " #" << i;
+    }
+
+    // Reference: same config, same seed, in-process fabric.
+    fl::Simulation sim = fl::build_simulation(federation_config_from(wire));
+    sim.server->run(kRounds);
+    std::ostringstream ref_csv;
+    sim.server->history().write_csv(ref_csv, /*include_timings=*/false);
+    const std::string ref_weights_path = run.dir + "/ref.bin";
+    tools::write_weights_file(ref_weights_path, sim.server->global_weights());
+
+    EXPECT_EQ(read_file(run.csv), ref_csv.str())
+        << label << ": multi-process round history diverged from the in-process run";
+    const std::string remote_weights = read_file(run.weights);
+    // write_f32_span = u64 element count + 4 bytes per float.
+    EXPECT_EQ(remote_weights.size(), 8 + sim.server->global_weights().size() * 4) << label;
+    EXPECT_EQ(remote_weights, read_file(ref_weights_path))
+        << label << ": final global weights are not bit-identical";
   }
-
-  // Reference: same config, same seed, in-process fabric.
-  fl::Simulation sim = fl::build_simulation(default_federation_config());
-  sim.server->run(kRounds);
-  std::ostringstream ref_csv;
-  sim.server->history().write_csv(ref_csv, /*include_timings=*/false);
-  const std::string ref_weights_path = run.dir + "/ref.bin";
-  tools::write_weights_file(ref_weights_path, sim.server->global_weights());
-
-  EXPECT_EQ(read_file(run.csv), ref_csv.str())
-      << "multi-process round history diverged from the in-process run";
-  const std::string remote_weights = read_file(run.weights);
-  // write_f32_span = u64 element count + 4 bytes per float.
-  EXPECT_EQ(remote_weights.size(), 8 + sim.server->global_weights().size() * 4);
-  EXPECT_EQ(remote_weights, read_file(ref_weights_path))
-      << "final global weights are not bit-identical";
 }
 
 /// Parse `csv` back into RoundRecord-shaped tuples via the header row.

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <sstream>
@@ -204,11 +205,12 @@ class ForwardingTransport final : public comm::Transport {
   }
   void poll(double timeout_s) override { inner_->poll(timeout_s); }
 
-  std::uint64_t forwarded() const { return forwarded_; }
+  std::uint64_t forwarded() const { return forwarded_.load(); }
 
  private:
   comm::Transport* inner_;
-  std::uint64_t forwarded_ = 0;
+  // Atomic: the simulated exchange calls the transport from pool threads.
+  std::atomic<std::uint64_t> forwarded_{0};
 };
 
 TEST(Chaos, TransportShimIsBitIdenticalToDirectFabric) {

@@ -133,6 +133,16 @@ TEST_F(ObsTest, HistogramTracksExactMomentsAndCoarseQuantiles) {
   EXPECT_LE(p50, 100.0);
 }
 
+TEST_F(ObsTest, HistogramQuantilesStayInsideTheObservedRange) {
+  // One observation: its octave's geometric midpoint (0.0442) lies above
+  // it, so every quantile must clamp to the single value.
+  obs::Histogram& h = obs::registry().histogram("test.hist_single");
+  h.observe(0.0434);
+  for (const double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_DOUBLE_EQ(h.quantile(q), 0.0434) << "q=" << q;
+  }
+}
+
 TEST_F(ObsTest, SummaryJsonListsEveryInstrumentKind) {
   obs::registry().counter("test.c").add(3);
   obs::registry().gauge("test.g").set(1.5);

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <ostream>
 #include <set>
 
 #include "src/core/contribution.hpp"
@@ -192,6 +193,13 @@ struct PartitionCase {
   std::size_t num_clients;
   std::uint64_t seed;
 };
+
+// Without this gtest prints the case as a byte dump that includes the
+// struct's padding, and ctest names the test after that print, so the
+// test name would differ from run to run.
+void PrintTo(const PartitionCase& c, std::ostream* os) {
+  *os << data::to_string(c.scheme) << '_' << c.num_clients << "clients_seed" << c.seed;
+}
 
 class PartitionProperty : public ::testing::TestWithParam<PartitionCase> {};
 

@@ -2,6 +2,8 @@
 // Conv2D gradient checks across geometries (kernel/stride/pad sweep).
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/data/synthetic.hpp"
 #include "src/fl/centralized.hpp"
 #include "src/nn/conv2d.hpp"
@@ -56,6 +58,11 @@ struct ZooCase {
   double target;  // loss must shrink to target × initial within budget
   std::size_t epochs;
 };
+
+// Without this gtest prints the case as a byte dump that includes the
+// addresses of the string literals, and ctest names the test after that
+// print, so the test name would differ from run to run.
+void PrintTo(const ZooCase& c, std::ostream* os) { *os << c.model << '_' << c.dataset; }
 
 class ZooTraining : public ::testing::TestWithParam<ZooCase> {};
 

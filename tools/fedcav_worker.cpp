@@ -3,11 +3,12 @@
 // Builds the same simulation as the daemon (identical seeds → identical
 // shards and model init), joins the daemon's socket (--socket PATH) or
 // TCP address (--tcp HOST:PORT, optionally with --auth-token), and then
-// serves round downlinks: compute the inference loss, uplink the
-// metadata scalars, train locally, uplink the full report. The worker
-// keeps no round schedule of its own — it reacts to whatever the daemon
-// sends and exits when the daemon closes the connection (EOF is
-// shutdown).
+// serves round downlinks through fl::ClientEndpoint (src/fl/protocol.hpp,
+// which also answers NACKs and duplicate downlinks): compute the
+// inference loss, uplink the metadata scalars, train locally, uplink the
+// full report. The worker keeps no round schedule of its own — it reacts
+// to whatever the daemon sends and exits when the daemon closes the
+// connection (EOF is shutdown).
 //
 // With --derived-seeds the worker also evaluates its own straggler coin
 // (a pure function of seed/round/client id — DESIGN.md §16): a
@@ -71,7 +72,6 @@ int main(int argc, char** argv) {
       transport = comm::SocketTransport::connect(socket_path, want_rank, tcfg);
     }
     const std::size_t rank = transport->local_rank();
-    constexpr std::size_t kServerRank = 0;
 
     fl::Client& client = sim.server->client_at(rank - 1);
     const fl::LocalTrainConfig local = sim.server->effective_local();
@@ -80,135 +80,38 @@ int main(int argc, char** argv) {
     Rng model_rng(config.seed ^ 0xabcdef12345ULL);
     std::unique_ptr<nn::Model> model = nn::model_builder(config.model)(model_rng);
 
-    const bool quant_on = config.server.quant != comm::QuantMode::kNone;
-    const comm::MessageType down_type =
-        quant_on ? comm::MessageType::kQuantGlobalModel
-                 : comm::MessageType::kGlobalModel;
     const std::size_t exit_before =
         static_cast<std::size_t>(cli.get_int("exit-before-round"));
     const std::size_t exit_after_meta =
         static_cast<std::size_t>(cli.get_int("exit-after-metadata"));
 
-    std::size_t last_round = 0;
-    comm::Envelope meta_env;    // cached for NACK retransmission
-    comm::Envelope report_env;  // ditto
-
-    for (;;) {
-      std::optional<ByteBuffer> wire = transport->try_recv_wire(rank, kServerRank);
-      if (!wire.has_value()) {
-        if (transport->peer_closed(kServerRank)) break;  // daemon done
-        transport->poll(0.1);
-        continue;
-      }
-      std::optional<comm::Envelope> env = comm::Envelope::try_decode(*wire);
-      if (!env.has_value()) {
-        // Damaged frame: ask for a downlink retransmit (the only thing
-        // the daemon ever sends us besides NACKs).
-        comm::NackMsg nack;
-        nack.round = last_round + 1;
-        nack.expected = down_type;
-        transport->send(rank, kServerRank,
-                        comm::Envelope{comm::MessageType::kNack, nack.encode()});
-        continue;
-      }
-      if (env->type == comm::MessageType::kNack) {
-        ByteReader reader(env->payload);
-        const comm::NackMsg nack = comm::NackMsg::decode(reader);
-        if (nack.expected == comm::MessageType::kMetadataReport &&
-            !meta_env.payload.empty()) {
-          transport->send(rank, kServerRank, meta_env);
-        } else if (!report_env.payload.empty()) {
-          transport->send(rank, kServerRank, report_env);
-        }
-        continue;
-      }
-      if (env->type != down_type) continue;  // stale / unexpected: drop
-
-      ByteReader reader(env->payload);
-      std::size_t round = 0;
-      std::vector<float> weights;
-      if (quant_on) {
-        comm::QuantGlobalModelMsg msg = comm::QuantGlobalModelMsg::decode(reader);
-        round = msg.round;
-        weights = comm::dequantize(msg.model);
-      } else {
-        comm::GlobalModelMsg msg = comm::GlobalModelMsg::decode(reader);
-        round = msg.round;
-        weights = std::move(msg.weights);
-      }
-      if (round == last_round) {
-        // Duplicate downlink (daemon-side retransmit raced our uplink):
-        // resend the cached envelopes instead of training again, so the
-        // client RNG stream and quant residual advance exactly once per
-        // round no matter how lossy the exchange was.
-        if (!meta_env.payload.empty()) {
-          transport->send(rank, kServerRank, meta_env);
-        }
-        if (!report_env.payload.empty()) {
-          transport->send(rank, kServerRank, report_env);
-        }
-        continue;
-      }
-      last_round = round;
-
-      if (exit_before != 0 && round == exit_before) {
+    fl::ClientEndpoint endpoint(*transport, rank, client, config.server);
+    while (std::optional<fl::Downlink> down = endpoint.next_downlink()) {
+      if (exit_before != 0 && down->round == exit_before) {
         ::_exit(0);  // vanish before any uplink → phase-① dropout
       }
-
-      const double f_i = client.compute_inference_loss(*model, weights);
-      comm::MetadataMsg meta;
-      meta.round = round;
-      meta.client_id = client.id();
-      meta.num_samples = client.num_samples();
-      meta.inference_loss = f_i;
-      meta_env =
-          comm::Envelope{comm::MessageType::kMetadataReport, meta.encode()};
-      report_env = comm::Envelope{};  // stale report must not answer NACKs
-      transport->send(rank, kServerRank, meta_env);
-
-      if (exit_after_meta != 0 && round == exit_after_meta) {
+      const double f_i = client.compute_inference_loss(*model, down->weights);
+      endpoint.send_metadata(f_i);
+      if (exit_after_meta != 0 && down->round == exit_after_meta) {
         ::_exit(0);  // vanish mid-uplink → phase-② upload failure
       }
-
       if (config.server.rng_mode == RngMode::kDerived) {
         // The straggler coin is a pure function of (seed, round, client
         // id), so the worker reaches the same verdict the daemon does
         // without a control message: a straggled round ends after the
         // metadata uplink — no training, no report — exactly like the
-        // in-process path. The report cache stays empty so a stray NACK
-        // cannot resurrect a report the daemon never expected.
-        if (derived_bernoulli(config.seed, round, client.id(),
+        // in-process path.
+        if (derived_bernoulli(config.seed, down->round, client.id(),
                               RngStream::kStraggler,
                               config.server.straggler_drop_prob)) {
           continue;
         }
         // Per-participation reseed: local training draws from the same
         // derived stream regardless of this worker's downlink history.
-        client.reseed_for_round(config.seed, round);
+        client.reseed_for_round(config.seed, down->round);
       }
-
-      fl::ClientUpdate update = client.train_update(*model, weights, local, f_i);
-      if (quant_on) {
-        comm::QuantReportMsg up;
-        up.round = round;
-        up.client_id = client.id();
-        up.num_samples = update.num_samples;
-        up.inference_loss = update.inference_loss;
-        up.delta = client.encode_quantized_update(
-            update.weights, weights, config.server.quant,
-            config.server.quant_keep);
-        report_env = comm::Envelope{comm::MessageType::kQuantReport, up.encode()};
-      } else {
-        comm::ClientReportMsg up;
-        up.round = round;
-        up.client_id = client.id();
-        up.num_samples = update.num_samples;
-        up.inference_loss = update.inference_loss;
-        up.weights = std::move(update.weights);
-        report_env =
-            comm::Envelope{comm::MessageType::kClientReport, up.encode()};
-      }
-      transport->send(rank, kServerRank, report_env);
+      endpoint.send_report(client.train_update(*model, down->weights, local, f_i),
+                           down->weights);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "fedcav_worker: %s\n", e.what());

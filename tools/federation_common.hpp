@@ -42,7 +42,7 @@ inline void add_federation_flags(CliParser& cli) {
   cli.add_string("quant", "none", "wire codec: none | fp16 | int8");
   cli.add_double("quant-keep", 1.0, "top-k fraction of the uplink delta (0, 1]");
   cli.add_double("recv-timeout", 30.0,
-                 "daemon: seconds to wait on a silent live worker");
+                 "daemon: seconds each collect phase waits on silent live workers");
   cli.add_double("straggler", 0.0,
                  "per-round probability a sampled client straggles out");
   cli.add_flag("derived-seeds",
