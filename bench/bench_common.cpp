@@ -56,6 +56,9 @@ fl::SimulationConfig make_config(const Scale& scale, const std::string& dataset,
   config.server.local.batch_size = scale.batch_size;
   config.server.local.lr = scale.lr;
   config.seed = seed;
+  // Root of the per-round derived streams (cohorts, shuffles, straggler
+  // coins): each repeat gets its own, not the ServerConfig default.
+  config.server.seed = seed;
   return config;
 }
 

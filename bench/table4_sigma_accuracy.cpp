@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
                 "Table 4: converged accuracy vs sigma for 3 strategies x 3 datasets");
   add_scale_flags(cli);
   cli.add_string("datasets", "digits,fashion,cifar", "comma-separated dataset list");
-  cli.add_int("repeats", 2, "seeds to average per cell (cifar always runs 1)");
+  cli.add_int("repeats", 8, "seeds to average per cell (cifar always runs 1)");
   if (!cli.parse(argc, argv)) return 0;
   set_log_level(LogLevel::kWarn);
 

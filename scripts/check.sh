@@ -83,6 +83,15 @@ echo "==> multiproc smoke (plain)"
 timeout 300 "${repo}/scripts/multiproc_smoke.sh" "${repo}/build"
 echo "==> multiproc smoke, tcp (plain)"
 timeout 300 "${repo}/scripts/multiproc_smoke.sh" "${repo}/build" 4 2 tcp
+# Frozen-benchmark guard (BENCHMARK.json, fedbench/): the repo benchmark
+# builds from this checkout into .bench_build/ and must still run and
+# self-check correct (exit 0) on its multi-process TCP workload and its
+# quantized one. One-second runs: about a minute cold, seconds warm.
+for workload in federation_tcp cohort_mlp_1k_int8; do
+  echo "==> fedbench ${workload} (plain)"
+  timeout 600 python3 "${repo}/fedbench/run.py" --workload "${workload}" \
+    --seed 1 --seconds 1 --trace 0
+done
 
 run_config "${repo}/build-sanitize" "" -DFEDCAV_SANITIZE=ON
 echo "==> cohort_scale smoke (sanitize)"

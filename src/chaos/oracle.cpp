@@ -258,43 +258,33 @@ OracleResult run_oracle(const ChaosPlan& plan, const OracleOptions& options) {
     }
   }
 
-  // Derived-seed schedule independence (DESIGN.md §16): in derived mode
-  // every RNG consumer reseeds per round from (seed, round, id, stream),
-  // so the *history* of a client's stream must be invisible. Replay the
-  // plan in derived mode twice — the second time with every client's
-  // stream deliberately scrambled before round 1 — and require
-  // bit-identity. Any divergence means some consumer still reads a
-  // long-lived stream (the cross-process divergence bug, in miniature).
-  if (options.check_derived_parity &&
-      (plan.sample_ratio < 1.0 || plan.straggler_drop_prob > 0.0)) {
-    fl::SimulationConfig derived_cfg = config_for(plan);
-    derived_cfg.server.rng_mode = RngMode::kDerived;
-    fl::Simulation clean = fl::build_simulation(derived_cfg);
-    fl::Simulation dirty = fl::build_simulation(derived_cfg);
-    if (options.pool != nullptr) {
-      clean.server->set_thread_pool(options.pool);
-      dirty.server->set_thread_pool(options.pool);
-    }
+  // Derived-seed schedule independence (DESIGN.md §16): every RNG
+  // consumer reseeds per round from (seed, round, id, stream), so the
+  // *history* of a client's stream must be invisible. Replay the plan
+  // with every client's stream deliberately scrambled before round 1 and
+  // require bit-identity with the base run. Any divergence means some
+  // consumer still reads a long-lived stream (the cross-process
+  // divergence bug, in miniature).
+  {
+    fl::Simulation dirty = fl::build_simulation(config_for(plan));
+    if (options.pool != nullptr) dirty.server->set_thread_pool(options.pool);
     for (std::size_t c = 0; c < dirty.server->num_clients(); ++c) {
       dirty.server->client_at(c).reseed_for_round(0x5eedc0deULL + c, 9999);
     }
     try {
-      clean.server->run(plan.rounds);
       dirty.server->run(plan.rounds);
     } catch (const Error& e) {
       result.passed = false;
       result.invariant = "exception";
-      result.detail = std::string("derived-mode run: ") + e.what();
+      result.detail = std::string("scrambled-stream run: ") + e.what();
       result.triggered = true;
       return result;
     }
-    if (deterministic_csv(*dirty.server) != deterministic_csv(*clean.server) ||
-        !bits_equal(dirty.server->global_weights(),
-                    clean.server->global_weights())) {
+    if (deterministic_csv(*dirty.server) != deterministic_csv(base_server) ||
+        !bits_equal(dirty.server->global_weights(), base_server.global_weights())) {
       result.passed = false;
       result.invariant = "derived_schedule_independence";
-      result.detail =
-          "derived-mode run depends on pre-run client RNG stream state";
+      result.detail = "run depends on pre-run client RNG stream state";
       result.triggered = true;
       return result;
     }

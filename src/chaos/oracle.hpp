@@ -20,11 +20,10 @@
 //     simulation, finish — post-resume records, final weights, and the
 //     conservation invariant must match a run that never stopped
 //     ("resume_identity" / "resume_conservation");
-//   * derived-seed schedule independence (DESIGN.md §16): for plans
-//     that sample or drop participants, a derived-mode replay whose
-//     per-client RNG streams were deliberately scrambled beforehand
-//     must be bit-identical to an unscrambled derived-mode replay —
-//     stream *history* may not leak into results
+//   * derived-seed schedule independence (DESIGN.md §16): a replay
+//     whose per-client RNG streams were deliberately scrambled
+//     beforehand must be bit-identical to the base run — stream
+//     *history* may not leak into results
 //     ("derived_schedule_independence").
 //
 // The oracle is deterministic given the plan (per-link fault RNGs plus
@@ -45,17 +44,14 @@ struct OracleOptions {
   /// and N-worker pools and compares search reports byte-for-byte.
   ThreadPool* pool = nullptr;
   /// Individual checks can be disabled to speed up broad sweeps; the
-  /// base run with accounting/conservation/skip checks always executes.
+  /// base run with accounting/conservation/skip checks and the
+  /// schedule-independence replay always execute.
   bool check_streaming_parity = true;
   bool check_resume = true;
   /// Shard-parity (DESIGN.md §15): when the plan's effective shard count
   /// is > 1, a forced single-shard replay must be bit-identical
   /// (deterministic CSV + final weights) to the sharded run.
   bool check_shard_parity = true;
-  /// Derived-seed schedule independence (DESIGN.md §16), gated on plans
-  /// with sampling or straggler drops — the configs whose legacy
-  /// streams advance on schedule-dependent orders.
-  bool check_derived_parity = true;
 };
 
 struct OracleResult {

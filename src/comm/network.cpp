@@ -251,7 +251,7 @@ std::size_t InMemoryNetwork::pending_messages() const {
   return n;
 }
 
-void InMemoryNetwork::save_state(ByteBuffer& buf, bool with_stats) const {
+void InMemoryNetwork::save_state(ByteBuffer& buf) const {
   std::lock_guard<std::mutex> lock(mutex_);
   write_u64(buf, current_round_);
   write_u64(buf, config_.num_endpoints);
@@ -265,9 +265,8 @@ void InMemoryNetwork::save_state(ByteBuffer& buf, bool with_stats) const {
       buf.insert(buf.end(), q.wire.begin(), q.wire.end());
     }
   }
-  if (!with_stats) return;  // legacy v3 layout stops here
-  // v4: the accounting travels with the queues it describes. Without it
-  // a resumed fabric reports pending messages that were never "sent",
+  // The accounting travels with the queues it describes. Without it a
+  // resumed fabric reports pending messages that were never "sent",
   // violating sent + duplicated == delivered + dropped + crash_dropped
   // + pending for the rest of the run.
   write_u64(buf, link_stats_.size());
@@ -286,7 +285,7 @@ void InMemoryNetwork::save_state(ByteBuffer& buf, bool with_stats) const {
   write_f64(buf, fault_stats_.jitter_seconds);
 }
 
-void InMemoryNetwork::load_state(ByteReader& reader, bool with_stats) {
+void InMemoryNetwork::load_state(ByteReader& reader) {
   std::lock_guard<std::mutex> lock(mutex_);
   current_round_ = reader.read_u64();
   const std::uint64_t endpoints = reader.read_u64();
@@ -311,7 +310,6 @@ void InMemoryNetwork::load_state(ByteReader& reader, bool with_stats) {
       inbox.push_back(std::move(q));
     }
   }
-  if (!with_stats) return;  // v3 file: accounting starts over from zero
   const std::uint64_t links = reader.read_u64();
   FEDCAV_REQUIRE(links == link_stats_.size(),
                  "InMemoryNetwork::load_state: link stats count mismatch");

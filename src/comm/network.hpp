@@ -102,18 +102,15 @@ class InMemoryNetwork final : public Transport {
   double model_transfer_seconds(std::size_t bytes) const override;
 
   /// Serialize / restore the fabric's mutable state: the current round,
-  /// every per-link fault RNG stream, all in-flight wire images, and —
-  /// with `with_stats` (checkpoint v4) — the per-link traffic counters
-  /// plus the fabric-wide FaultStats. Checkpoints embed this so a
-  /// resumed chaos run replays the exact fault sequence, including
-  /// stale duplicates still in the queues. `with_stats = false` is the
-  /// legacy v3 layout, which silently zeroed the accounting on load and
-  /// therefore broke the conservation invariant on any resumed fabric
-  /// with in-flight messages (the first bug the chaos search minimized;
-  /// see tests/chaos_seeds/resume_stats_conservation.plan).
+  /// every per-link fault RNG stream, all in-flight wire images, the
+  /// per-link traffic counters and the fabric-wide FaultStats.
+  /// Checkpoints embed this so a resumed chaos run replays the exact
+  /// fault sequence, including stale duplicates still in the queues, with
+  /// the conservation invariant intact (a layout without the accounting
+  /// broke it — see tests/chaos_seeds/resume_stats_conservation.plan).
   /// load_state throws fedcav::Error on endpoint-count mismatch.
-  void save_state(ByteBuffer& buf, bool with_stats = true) const;
-  void load_state(ByteReader& reader, bool with_stats = true);
+  void save_state(ByteBuffer& buf) const;
+  void load_state(ByteReader& reader);
 
  private:
   struct Queued {

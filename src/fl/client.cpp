@@ -143,32 +143,25 @@ double Client::quant_residual_norm() const {
   return std::sqrt(sq);
 }
 
-void Client::save_state(ByteBuffer& buf, bool with_quant_residual) const {
-  write_rng_state(buf, rng_.state());
+void Client::save_state(ByteBuffer& buf) const {
   write_f32_span(buf, curv_anchor_);
   write_f32_span(buf, curv_importance_);
-  if (with_quant_residual) write_f32_span(buf, quant_residual_);
+  write_f32_span(buf, quant_residual_);
 }
 
-void Client::load_state(ByteReader& reader, std::size_t expected_params,
-                        bool with_quant_residual) {
-  rng_.set_state(read_rng_state(reader));
+void Client::load_state(ByteReader& reader, std::size_t expected_params) {
   std::vector<float> anchor = reader.read_f32_vector();
   std::vector<float> importance = reader.read_f32_vector();
+  std::vector<float> residual = reader.read_f32_vector();
   FEDCAV_REQUIRE(anchor.empty() || anchor.size() == expected_params,
                  "Client::load_state: curvature anchor size mismatch");
   FEDCAV_REQUIRE(importance.size() == anchor.size(),
                  "Client::load_state: curvature importance size mismatch");
+  FEDCAV_REQUIRE(residual.empty() || residual.size() == expected_params,
+                 "Client::load_state: quant residual size mismatch");
   curv_anchor_ = std::move(anchor);
   curv_importance_ = std::move(importance);
-  if (with_quant_residual) {
-    std::vector<float> residual = reader.read_f32_vector();
-    FEDCAV_REQUIRE(residual.empty() || residual.size() == expected_params,
-                   "Client::load_state: quant residual size mismatch");
-    quant_residual_ = std::move(residual);
-  } else {
-    quant_residual_.clear();  // pre-v5 file: no pending residual
-  }
+  quant_residual_ = std::move(residual);
 }
 
 void Client::set_local_data(data::Dataset new_data) {

@@ -54,8 +54,8 @@ class Client {
   /// fresh-class samples between phases).
   void set_local_data(data::Dataset new_data);
 
-  /// RngMode::kDerived — reseed the batch-shuffle stream for one
-  /// participation: Rng(derive_seed(root_seed, round, id, kClientTrain)).
+  /// Reseed the batch-shuffle stream for one participation:
+  /// Rng(derive_seed(root_seed, round, id, kClientTrain)).
   /// Both the in-process server and a remote worker call this right
   /// before train_update, so the shuffles a client performs in round r
   /// are a pure function of (seed, r, id) — identical no matter which
@@ -86,17 +86,15 @@ class Client {
   double quant_residual_norm() const;
 
   /// Serialize / restore the client's round-to-round mutable state: the
-  /// batch-shuffle RNG stream and the FedCurv anchor/importance vectors
-  /// (and, when `with_quant_residual`, the pending error-feedback
-  /// residual — checkpoint v5+; older formats never carried it, so
-  /// loading them leaves the residual empty). Model weights are not
-  /// included — every participation overwrites them with the downloaded
-  /// global model. load_state throws fedcav::Error when a non-empty
-  /// anchor or residual does not match `expected_params` (the global
-  /// model's parameter count).
-  void save_state(ByteBuffer& buf, bool with_quant_residual = false) const;
-  void load_state(ByteReader& reader, std::size_t expected_params,
-                  bool with_quant_residual = false);
+  /// FedCurv anchor/importance vectors and the pending error-feedback
+  /// residual. Model weights are not included — every participation
+  /// overwrites them with the downloaded global model — nor is the
+  /// batch-shuffle stream, which reseed_for_round replaces before every
+  /// server-driven participation. load_state throws fedcav::Error when a
+  /// non-empty anchor or residual does not match `expected_params` (the
+  /// global model's parameter count).
+  void save_state(ByteBuffer& buf) const;
+  void load_state(ByteReader& reader, std::size_t expected_params);
 
  private:
   /// Diagonal Fisher estimate of `model` on the local data (mean squared

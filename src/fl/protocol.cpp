@@ -64,10 +64,22 @@ Msg report_scalars(std::size_t round, std::size_t client_id, const ClientUpdate&
   return msg;
 }
 
+/// Hand one CRC-clean envelope to `handle`: true once accepted. kStale,
+/// and a payload whose decode throws, count as stale_discards.
+bool offer(const comm::Envelope& env, ParticipantOutcome& counters, const Handler& handle) {
+  Take take = Take::kStale;  // also a CRC-valid but malformed payload
+  try {
+    take = handle(env);
+  } catch (const Error&) {
+  }
+  // Stale: wrong round, type or sender — duplicates, late NACKs.
+  if (take == Take::kStale) counters.stale_discards += 1;
+  return take == Take::kAccept;
+}
+
 /// The drain helper: pop the wire images queued at `dst` from `src` until
 /// `handle` accepts one (true) or the link runs dry (false). A damaged
-/// image counts as a crc_failure and calls `on_damaged` (if set); kStale,
-/// and a payload whose decode throws, count as stale_discards.
+/// image counts as a crc_failure and calls `on_damaged` (if set).
 bool drain(comm::Transport& transport, std::size_t dst, std::size_t src,
            ParticipantOutcome& counters, const Handler& handle,
            const std::function<void()>& on_damaged = nullptr) {
@@ -78,14 +90,7 @@ bool drain(comm::Transport& transport, std::size_t dst, std::size_t src,
       if (on_damaged) on_damaged();
       continue;
     }
-    Take take = Take::kStale;  // also a CRC-valid but malformed payload
-    try {
-      take = handle(*env);
-    } catch (const Error&) {
-    }
-    if (take == Take::kAccept) return true;
-    // Stale: wrong round, type or sender — duplicates, late NACKs.
-    if (take == Take::kStale) counters.stale_discards += 1;
+    if (offer(*env, counters, handle)) return true;
   }
   return false;
 }
@@ -204,6 +209,7 @@ void ClientEndpoint::send_report(ClientUpdate update, const nn::Weights& referen
 void ServerEndpoint::begin_round(std::size_t round, nn::Weights& global) {
   round_ = round;
   reference_ = &global;
+  early_reports_.clear();
   if (config_.quant != comm::QuantMode::kNone) {
     comm::QuantGlobalModelMsg down;
     down.round = round;
@@ -352,12 +358,23 @@ bool ServerEndpoint::await_uplink(std::size_t rank, MessageType expected,
       retransmit(downlink_);  // the worker lost or rejected the downlink
       return Take::kAnswered;
     }
+    // This round's report overtook a metadata frame that must be resent
+    // (the worker trains unprompted): keep it for phase ②. Every message
+    // encodes its round first.
+    if (expected == MessageType::kMetadataReport &&
+        env.type == report_type(config_.quant) &&
+        ByteReader(env.payload).read_u64() == round_ &&
+        early_reports_.try_emplace(rank, env).second) {
+      return Take::kAnswered;
+    }
     const Take result = take(env);
     if (result == Take::kAccept) {
       out.elapsed_s += transport_->model_transfer_seconds(env.wire_size());
     }
     return result;
   };
+  const auto held = early_reports_.extract(rank);
+  if (!held.empty() && offer(held.mapped(), out, handle)) return true;
   return await(*transport_, kServerRank, rank, out, handle,
                [&] { retransmit(nack(round_, expected)); }, phase_watch_,
                config_.remote_recv_timeout_s);

@@ -17,10 +17,13 @@
 //     is accepted, the peer closes, or the collect phase's wall-clock
 //     deadline passes. Damaged frames are NACKed and a worker's NACK is
 //     answered with a downlink retransmit, both bounded by max_retries.
+//     A report that overtakes a NACKed metadata frame is held for
+//     phase ②.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -36,7 +39,8 @@ struct ServerConfig;
 inline constexpr std::size_t kServerRank = 0;
 
 /// What a receive handler made of one CRC-clean envelope: accepted it,
-/// discarded it as stale, or answered it (control traffic).
+/// discarded it as stale, or answered it (control traffic, or an early
+/// report held for phase ②).
 enum class Take { kAccept, kStale, kAnswered };
 using Handler = std::function<Take(const comm::Envelope&)>;
 
@@ -71,8 +75,8 @@ class ClientEndpoint {
   /// server closed). Meanwhile damaged frames are NACKed, a server NACK
   /// is answered with the cached uplink it names, and a repeated downlink
   /// of the current round resends the cached uplinks instead of training
-  /// again — the client's RNG stream and quantization residual advance
-  /// once per round however lossy the exchange.
+  /// again — the client's quantization residual advances once per round
+  /// however lossy the exchange.
   std::optional<Downlink> next_downlink();
   /// Send (and cache, for NACK answers) this round's uplinks.
   void send_metadata(double inference_loss);
@@ -89,9 +93,9 @@ class ClientEndpoint {
 };
 
 /// The server's end of the exchange over the attached transport (none =
-/// the unmetered direct path). Phase methods are const and touch only
-/// the caller's ParticipantOutcome, so the simulated policy may run them
-/// concurrently on pool threads.
+/// the unmetered direct path). Phase methods are const and, under the
+/// simulated policy, touch only the caller's ParticipantOutcome, so that
+/// policy may run them concurrently on pool threads.
 class ServerEndpoint {
  public:
   explicit ServerEndpoint(const ServerConfig& config) : config_(config) {}
@@ -141,6 +145,10 @@ class ServerEndpoint {
   const nn::Weights* reference_ = nullptr;  // the round's w_t (server-owned)
   comm::Envelope downlink_{};
   Stopwatch phase_watch_;
+  /// Remote policy (which runs serially): per rank, a current-round
+  /// report drained while phase ① still awaited the rank's metadata.
+  /// Phase ② offers it before awaiting; begin_round drops leftovers.
+  mutable std::map<std::size_t, comm::Envelope> early_reports_;
 };
 
 }  // namespace fedcav::fl

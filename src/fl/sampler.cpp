@@ -81,7 +81,6 @@ std::vector<std::size_t> ParticipantSampler::sample() {
 }
 
 void ParticipantSampler::save_state(ByteBuffer& buf) const {
-  write_rng_state(buf, rng_.state());
   write_u64(buf, cursor_);
   write_u64(buf, num_clients_);
   for (std::size_t i = 0; i < num_clients_; ++i) {
@@ -91,7 +90,6 @@ void ParticipantSampler::save_state(ByteBuffer& buf) const {
 }
 
 void ParticipantSampler::load_state(ByteReader& reader) {
-  rng_.set_state(read_rng_state(reader));
   cursor_ = reader.read_u64();
   const std::uint64_t n = reader.read_u64();
   FEDCAV_REQUIRE(n == num_clients_,

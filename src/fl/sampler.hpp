@@ -38,12 +38,11 @@ class ParticipantSampler {
   /// relies on the deterministic order for reproducible reductions).
   std::vector<std::size_t> sample();
 
-  /// Replace the sampler's RNG stream. In RngMode::kDerived the server
-  /// calls this before every sample() with
-  /// derive_seed(seed, round, 0, kSampler), making the cohort a pure
-  /// function of (seed, round) — resume- and schedule-independent. The
-  /// rotation cursor and loss memory stay stateful either way (they are
-  /// checkpointed, not derived).
+  /// Replace the sampler's RNG stream. The server calls this before
+  /// every sample() with derive_seed(seed, round, 0, kSampler), making
+  /// the cohort a pure function of (seed, round) — resume- and
+  /// schedule-independent. The rotation cursor and loss memory stay
+  /// stateful (they are checkpointed, not derived).
   void reseed(std::uint64_t seed) { rng_ = Rng(seed); }
 
   /// Feed back the inference losses observed for `participants` this
@@ -54,8 +53,9 @@ class ParticipantSampler {
   SamplerPolicy policy() const { return policy_; }
   std::size_t cohort_size() const { return cohort_; }
 
-  /// Serialize / restore the full mutable state (RNG stream, rotation
-  /// cursor, per-client loss memory). Policy and cohort geometry come
+  /// Serialize / restore the state a reseeded sampler carries across
+  /// rounds (rotation cursor, per-client loss memory) — not the RNG
+  /// stream, which reseed() replaces. Policy and cohort geometry come
   /// from the constructor, not the snapshot; load_state throws
   /// fedcav::Error when the snapshot's client count differs.
   void save_state(ByteBuffer& buf) const;

@@ -16,36 +16,14 @@ namespace fedcav::fl {
 
 namespace {
 
-// Checkpoint formats. v1 (PR 2) carried only the round counter and the
-// global weights; v2 adds everything needed for bit-identical resume;
-// v3 appends the comm fabric's fault-RNG streams and in-flight
-// messages so chaos runs also resume bit-identically; v4 additionally
-// embeds the fabric's traffic/fault accounting so the conservation
-// invariant survives a resume (v3 zeroed it, which the chaos search
-// caught — see tests/chaos_seeds/resume_stats_conservation.plan).
-constexpr std::uint64_t kCheckpointMagicV1 = 0xfedca5c4ec9017ULL;
-constexpr std::uint64_t kCheckpointMagicV2 = 0xfedca5c4ec9018ULL;
-constexpr std::uint64_t kCheckpointMagicV3 = 0xfedca5c4ec9019ULL;
-constexpr std::uint64_t kCheckpointMagicV4 = 0xfedca5c4ec901aULL;
-// v5 appends each client's quantization error-feedback residual, so a
-// quantized run resumed mid-stream sends the exact deltas the
-// uninterrupted run would have.
-constexpr std::uint64_t kCheckpointMagicV5 = 0xfedca5c4ec901bULL;
-// v6 appends the RngMode the run was recorded under (DESIGN.md §16):
-// a derived-seed run resumed from a v6 file keeps deriving, and a
-// pre-v6 file — written when only the legacy streams existed — always
-// loads in kLegacyStream regardless of the configured mode.
-constexpr std::uint64_t kCheckpointMagicV6 = 0xfedca5c4ec901cULL;
-
-std::uint64_t checkpoint_magic(int version) {
-  switch (version) {
-    case 2: return kCheckpointMagicV2;
-    case 3: return kCheckpointMagicV3;
-    case 4: return kCheckpointMagicV4;
-    case 5: return kCheckpointMagicV5;
-    default: return kCheckpointMagicV6;
-  }
-}
+// Checkpoint format: one layout, holding exactly the state a resumed
+// run reads (DESIGN.md §9). Every RNG stream a round consumes is derived
+// from (seed, round, id) when it is used, so no client, sampler or
+// straggler stream is stored; the comm fabric's fault streams, queues and
+// accounting are. Files of the retired layouts (magics ...17 to ...1c)
+// are rejected by name.
+constexpr std::uint64_t kCheckpointMagic = 0xfedca5c4ec901dULL;
+constexpr std::uint64_t kFirstCheckpointMagic = 0xfedca5c4ec9017ULL;
 
 /// Attributes a scope's wall time to one RoundPhases field and mirrors
 /// it as a "round.phase" trace span. The Stopwatch is unconditional
@@ -118,8 +96,7 @@ Server::Server(std::unique_ptr<nn::Model> global_model,
       config_(config),
       effective_local_(config.local),
       detector_(config.detector),
-      sampler_(config.sampler, clients_.size(), config.sample_ratio, config.seed),
-      straggler_rng_(config.seed ^ 0x57a661e2ULL) {
+      sampler_(config.sampler, clients_.size(), config.sample_ratio, config.seed) {
   FEDCAV_REQUIRE(global_model_ != nullptr, "Server: null global model");
   FEDCAV_REQUIRE(strategy_ != nullptr, "Server: null strategy");
   FEDCAV_REQUIRE(!clients_.empty(), "Server: no clients");
@@ -199,11 +176,9 @@ void Server::set_lr_schedule(std::unique_ptr<nn::LrSchedule> schedule) {
   lr_schedule_ = std::move(schedule);
 }
 
-void Server::save_checkpoint(const std::string& path, int version) const {
-  FEDCAV_REQUIRE(version >= 2 && version <= 6,
-                 "save_checkpoint: unsupported version requested");
+void Server::save_checkpoint(const std::string& path) const {
   ByteBuffer buf;
-  write_u64(buf, checkpoint_magic(version));
+  write_u64(buf, kCheckpointMagic);
   write_u64(buf, round_);
   write_f32_span(buf, global_weights_);
   // The reverse target w_{t-1}: without it a resumed run that trips the
@@ -213,20 +188,13 @@ void Server::save_checkpoint(const std::string& path, int version) const {
   write_u8(buf, reference.has_value() ? 1 : 0);
   write_f64(buf, reference.value_or(0.0));
   sampler_.save_state(buf);
-  write_rng_state(buf, straggler_rng_.state());
   write_u64(buf, clients_.size());
-  for (const auto& client : clients_) {
-    client->save_state(buf, /*with_quant_residual=*/version >= 5);
-  }
-  if (version >= 3) {
-    // Fabric state: fault-RNG streams + in-flight wire images (and,
-    // from v4, the traffic/fault accounting), so a resumed chaos run
-    // replays the exact same fault sequence with its conservation
-    // invariant intact.
-    write_u8(buf, network_ != nullptr ? 1 : 0);
-    if (network_ != nullptr) network_->save_state(buf, /*with_stats=*/version >= 4);
-  }
-  if (version >= 6) write_u8(buf, static_cast<std::uint8_t>(config_.rng_mode));
+  for (const auto& client : clients_) client->save_state(buf);
+  // Fabric state: fault-RNG streams, in-flight wire images and the
+  // traffic/fault accounting, so a resumed chaos run replays the exact
+  // same fault sequence with its conservation invariant intact.
+  write_u8(buf, network_ != nullptr ? 1 : 0);
+  if (network_ != nullptr) network_->save_state(buf);
 
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   FEDCAV_REQUIRE(out.good(), "save_checkpoint: cannot open " + path);
@@ -241,26 +209,9 @@ void Server::load_checkpoint(const std::string& path) {
   ByteBuffer buf((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
   ByteReader reader(buf);
   const std::uint64_t magic = reader.read_u64();
-
-  if (magic == kCheckpointMagicV1) {
-    // Legacy file: weights + round only. The best available reverse
-    // target is the restored model itself, and the detector has to
-    // re-learn its reference.
-    const std::uint64_t saved_round = reader.read_u64();
-    std::vector<float> weights = reader.read_f32_vector();
-    FEDCAV_REQUIRE(weights.size() == global_weights_.size(),
-                   "load_checkpoint: weight count mismatch in " + path);
-    round_ = saved_round;
-    set_global_weights(std::move(weights));
-    cached_weights_ = global_weights_;
-    detector_.reset();
-    return;
-  }
-
-  FEDCAV_REQUIRE(magic == kCheckpointMagicV2 || magic == kCheckpointMagicV3 ||
-                     magic == kCheckpointMagicV4 || magic == kCheckpointMagicV5 ||
-                     magic == kCheckpointMagicV6,
-                 "load_checkpoint: bad magic in " + path);
+  FEDCAV_REQUIRE(magic < kFirstCheckpointMagic || magic >= kCheckpointMagic,
+                 "load_checkpoint: unsupported checkpoint version in " + path);
+  FEDCAV_REQUIRE(magic == kCheckpointMagic, "load_checkpoint: bad magic in " + path);
   const std::uint64_t saved_round = reader.read_u64();
   std::vector<float> weights = reader.read_f32_vector();
   FEDCAV_REQUIRE(weights.size() == global_weights_.size(),
@@ -271,37 +222,14 @@ void Server::load_checkpoint(const std::string& path) {
   const bool has_reference = reader.read_u8() != 0;
   const double reference = reader.read_f64();
   sampler_.load_state(reader);
-  straggler_rng_.set_state(read_rng_state(reader));
   const std::uint64_t num_clients = reader.read_u64();
   FEDCAV_REQUIRE(num_clients == clients_.size(),
                  "load_checkpoint: client count mismatch in " + path);
-  for (auto& client : clients_) {
-    client->load_state(reader, global_weights_.size(),
-                       /*with_quant_residual=*/magic == kCheckpointMagicV5 ||
-                           magic == kCheckpointMagicV6);
-  }
-  if (magic != kCheckpointMagicV2) {
-    const bool has_network = reader.read_u8() != 0;
-    FEDCAV_REQUIRE(has_network == (network_ != nullptr),
-                   "load_checkpoint: network presence mismatch in " + path);
-    if (has_network) {
-      network_->load_state(reader, /*with_stats=*/magic != kCheckpointMagicV3);
-    }
-  }
-  // RngMode travels with the run (v6): pre-v6 files were written when
-  // only the legacy streams existed, so they load in kLegacyStream no
-  // matter what the server was configured with — bit-compat first.
-  if (magic == kCheckpointMagicV6) {
-    const std::uint8_t mode = reader.read_u8();
-    FEDCAV_REQUIRE(mode <= static_cast<std::uint8_t>(RngMode::kDerived),
-                   "load_checkpoint: bad rng_mode in " + path);
-    config_.rng_mode = static_cast<RngMode>(mode);
-  } else {
-    config_.rng_mode = RngMode::kLegacyStream;
-  }
-  // v2 files load with the fabric left in its freshly-seeded state; v3
-  // files restore the queues but restart the traffic/fault accounting
-  // from zero (their layout never carried it).
+  for (auto& client : clients_) client->load_state(reader, global_weights_.size());
+  const bool has_network = reader.read_u8() != 0;
+  FEDCAV_REQUIRE(has_network == (network_ != nullptr),
+                 "load_checkpoint: network presence mismatch in " + path);
+  if (has_network) network_->load_state(reader);
   FEDCAV_REQUIRE(reader.exhausted(), "load_checkpoint: trailing bytes in " + path);
 
   round_ = saved_round;
@@ -340,12 +268,10 @@ metrics::RoundRecord Server::run_round() {
   std::vector<std::size_t> participants;
   {
     PhaseTimer phase("sample", round_, record.phases.sample);
-    if (config_.rng_mode == RngMode::kDerived) {
-      // Derived mode: the cohort is a pure function of (seed, round) —
-      // the sampler's stream no longer depends on how many rounds ran
-      // before or where (DESIGN.md §16).
-      sampler_.reseed(derive_seed(config_.seed, round_, 0, RngStream::kSampler));
-    }
+    // The cohort is a pure function of (seed, round): the sampler's
+    // stream does not depend on how many rounds ran before or where
+    // (DESIGN.md §16).
+    sampler_.reseed(derive_seed(config_.seed, round_, 0, RngStream::kSampler));
     participants = sampler_.sample();
   }
   record.sampled = participants.size();
@@ -415,32 +341,18 @@ metrics::RoundRecord Server::run_round() {
   }
   outcomes.clear();
 
-  // Stragglers: each received report is additionally lost independently
-  // with the configured probability; the round proceeds with whoever
-  // got through.
+  // Stragglers: each received report is additionally lost with the
+  // configured probability, by one pure coin per (round, client). Any
+  // process that knows the seed reaches the same verdict, so a remote
+  // worker decides its own fate locally (skips training and the report)
+  // and this filter agrees without coordination. A round whose every
+  // report drops falls below the quorum and skips.
   if (config_.straggler_drop_prob > 0.0 && !metadata.empty()) {
     PhaseTimer phase("straggler_filter", round_, record.phases.straggler_filter);
-    // Draw every survivor's bernoulli first (the RNG stream consumption
-    // order is pinned by the golden runs), then apply the legacy
-    // keep-first guarantee before committing anything to the ledgers.
     std::vector<char> keep(metadata.size(), 1);
     for (std::size_t i = 0; i < metadata.size(); ++i) {
-      // Derived mode: one pure coin per (round, client) — any process
-      // that knows the seed reaches the same verdict, so a remote worker
-      // decides its own fate locally (skips training + report) and the
-      // server's filter here agrees without coordination.
-      keep[i] = config_.rng_mode == RngMode::kDerived
-                    ? !derived_bernoulli(config_.seed, round_, metadata[i].client_id,
-                                         RngStream::kStraggler, config_.straggler_drop_prob)
-                    : !straggler_rng_.bernoulli(config_.straggler_drop_prob);
-    }
-    // Everyone dropped: legacy mode keeps the first report so the round
-    // is defined (a quorum > 1 skips the round instead). Derived mode has
-    // no rescue — a worker deciding alone cannot know it was the last
-    // survivor — so a fully-straggled round skips via quorum.
-    if (config_.rng_mode == RngMode::kLegacyStream && config_.min_aggregate_clients <= 1 &&
-        std::find(keep.begin(), keep.end(), 1) == keep.end()) {
-      keep.front() = 1;
+      keep[i] = !derived_bernoulli(config_.seed, round_, metadata[i].client_id,
+                                   RngStream::kStraggler, config_.straggler_drop_prob);
     }
     // Compact the survivor columns in place; each drop books to its shard.
     std::size_t kept = 0;
@@ -505,10 +417,10 @@ metrics::RoundRecord Server::run_round() {
     const std::size_t client_index = participants[survivor_slots[i]];
     Client& client = *clients_[client_index];
     return endpoint_.exchange_report(client_index + 1, client, [&] {
-      // Derived mode: the batch-shuffle stream for this participation is
+      // The batch-shuffle stream for this participation is
       // Rng(derive_seed(seed, round, id, kClientTrain)) — the same stream
       // a remote worker hosting this client derives for itself (§16).
-      if (config_.rng_mode == RngMode::kDerived) client.reseed_for_round(config_.seed, round_);
+      client.reseed_for_round(config_.seed, round_);
       nn::ReplicaPool::Lease replica = replica_pool_->acquire();
       return client.train_update(replica.model(), global_weights_, effective_local_,
                                  metadata[i].inference_loss);

@@ -32,11 +32,12 @@ struct ServerConfig {
   SamplerPolicy sampler = SamplerPolicy::kUniform;
   LocalTrainConfig local;
   /// Probability a sampled participant fails to report (straggler /
-  /// connection loss). With the default quorum of 1, at least one
-  /// update always survives (legacy behavior); a quorum > 1 lets every
-  /// report drop and the round skip instead. The paper's dynamic view
-  /// ("clients dynamically participating ... at any time", §3.1)
-  /// motivates exercising aggregation under partial cohorts.
+  /// connection loss), decided by the pure coin
+  /// derived_bernoulli(seed, round, client_id, kStraggler, p) that a
+  /// remote worker evaluates for itself. A round whose every report
+  /// drops falls below min_aggregate_clients and skips. The paper's
+  /// dynamic view ("clients dynamically participating ... at any time",
+  /// §3.1) motivates exercising aggregation under partial cohorts.
   double straggler_drop_prob = 0.0;
   /// Minimum surviving updates required to aggregate. Below this the
   /// round is skipped: the global model is carried forward unchanged
@@ -59,6 +60,9 @@ struct ServerConfig {
   bool detection_enabled = false;
   core::DetectorConfig detector;
   std::size_t eval_batch_size = 64;
+  /// Root of every per-round RNG stream: the sampler's cohort, each
+  /// participant's batch shuffles and the straggler coins are all
+  /// derive_seed(seed, round, id, tag) (DESIGN.md §16).
   std::uint64_t seed = 11;
   /// Route weights through the comm fabric (exact byte metering). Off
   /// saves two serialization passes per participant per round.
@@ -99,19 +103,9 @@ struct ServerConfig {
   /// auto (process default, normally 1; the FEDCAV_TEST_SHARDS hook
   /// overrides it for whole-suite replays).
   std::size_t shards = 0;
-  /// How per-client / sampler / straggler streams are produced
-  /// (DESIGN.md §16). kLegacyStream (default) keeps the historical
-  /// long-lived streams every pinned golden was recorded under.
-  /// kDerived reseeds each consumer per round from
-  /// derive_seed(seed, round, id, tag), making the run bit-identical
-  /// across in-process, multi-process, sharded, and resumed execution —
-  /// including sampled/straggler configurations. In kDerived the
-  /// straggler coin is a pure per-(round, client) draw that remote
-  /// workers evaluate locally, and the legacy keep-first straggler
-  /// rescue is disabled (a fully-straggled round skips via quorum
-  /// instead — a worker deciding alone cannot know it was the last
-  /// survivor).
-  RngMode rng_mode = RngMode::kLegacyStream;
+  /// The only RNG mode, per-round derived seeds (see `seed`). Assignable
+  /// so configs that name it keep compiling; nothing reads it.
+  RngMode rng_mode = RngMode::kDerived;
 
   void validate(std::size_t num_clients) const;
 };
@@ -140,8 +134,6 @@ class Server {
   const metrics::TrainingHistory& history() const { return history_; }
   std::size_t current_round() const { return round_; }
   std::size_t num_clients() const { return clients_.size(); }
-  /// Effective config — load_checkpoint may rewrite rng_mode (a pre-v6
-  /// file forces legacy-stream mode).
   const ServerConfig& config() const { return config_; }
 
   const nn::Weights& global_weights() const { return global_weights_; }
@@ -174,29 +166,20 @@ class Server {
   const nn::ReplicaPool* replica_pool() const { return replica_pool_.get(); }
   nn::ReplicaPool* replica_pool() { return replica_pool_.get(); }
 
-  /// Serialize the full resumable server state to `path` (binary, v6
-  /// format by default): round counter, global + cached (reverse-target)
-  /// weights, detector reference, sampler state (RNG stream, round-robin
-  /// cursor, per-client loss memory), straggler RNG, per-client state
-  /// (batch RNG + FedCurv anchors), the comm fabric's fault-RNG streams
-  /// and in-flight messages (v3), the fabric's traffic/fault accounting
-  /// (v4), each client's quantization error-feedback residual (v5), and
-  /// — new in v6 — the RngMode the run was recorded under, so a resumed
-  /// run derives (or replays) exactly the streams the uninterrupted run
-  /// would have. A run resumed from the file is bit-identical to one
-  /// that never stopped. `version` may be 2–5 to emit the legacy
-  /// formats (compat testing).
-  void save_checkpoint(const std::string& path, int version = 6) const;
-  /// Restore state from save_checkpoint output. Pre-v6 files load in
-  /// RngMode::kLegacyStream (the only mode that existed when they were
-  /// written — bit-compat trumps the configured mode); v3 files load
-  /// with the fabric's accounting restarted from zero (their layout
-  /// never carried it); v2 files load with the fabric reset to its
-  /// freshly-seeded state; v1 files (weights + round only) also load,
-  /// with the cached weights falling back to the global weights and the
-  /// detector reference reset. Throws fedcav::Error on malformed files
-  /// or size/client-count mismatch; the server state is unspecified
-  /// after a throw partway through a payload.
+  /// Serialize the resumable server state to `path` (binary): round
+  /// counter, global + cached (reverse-target) weights, detector
+  /// reference, sampler rotation cursor and per-client loss memory,
+  /// per-client FedCurv anchors and quantization error-feedback
+  /// residuals, and the comm fabric's fault-RNG streams, in-flight
+  /// messages and traffic/fault accounting. RNG streams that are
+  /// reseeded before every use (sampler, client shuffles, straggler
+  /// coins) are not stored. A run resumed from the file is bit-identical
+  /// to one that never stopped.
+  void save_checkpoint(const std::string& path) const;
+  /// Restore state from save_checkpoint output. Files of the retired
+  /// layouts throw "unsupported checkpoint version"; malformed files and
+  /// size/client-count mismatches throw fedcav::Error too. The server
+  /// state is unspecified after a throw partway through a payload.
   void load_checkpoint(const std::string& path);
 
   /// Flush collected telemetry: a chrome://tracing JSON to `trace_path`
@@ -262,7 +245,6 @@ class Server {
   /// transport has no savable state.
   ServerEndpoint endpoint_{config_};
   ParticipantSampler sampler_;
-  Rng straggler_rng_;
   std::size_t round_ = 0;
 
   std::shared_ptr<attack::Adversary> adversary_;

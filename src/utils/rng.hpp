@@ -18,23 +18,15 @@ namespace fedcav {
 /// state and to derive independent child seeds.
 std::uint64_t splitmix64(std::uint64_t& state);
 
-/// How per-consumer random streams are produced across federation rounds.
-///
-///  * kLegacyStream — one long-lived Rng per consumer (client batch
-///    shuffles, straggler draws, the sampler), advancing whenever that
-///    consumer happens to run. This is the historical behaviour and the
-///    mode all pinned goldens were recorded under, but the streams are a
-///    function of the *schedule*: a client that skips a round (sampling,
-///    dropout, straggler) resumes a different stream than a remote worker
-///    that trained unprompted on every downlink (DESIGN.md §16).
-///  * kDerived — stateless per-round derivation: every consumer reseeds
-///    from derive_seed(global_seed, round, stream_id, tag) at the moment
-///    it participates, so the stream it sees is a pure function of
-///    (seed, round, id) regardless of which process hosts it or which
-///    rounds it skipped. Remote, in-process, sharded, and resumed runs
-///    are bit-identical everywhere, including sampled/straggler configs.
+/// How per-consumer random streams are produced across federation
+/// rounds. There is one mode: stateless per-round derivation. Every
+/// consumer (client batch shuffles, straggler coins, the sampler) reseeds
+/// from derive_seed(global_seed, round, stream_id, tag) at the moment it
+/// runs, so the stream it sees is a pure function of (seed, round, id)
+/// regardless of which process hosts it or which rounds it skipped.
+/// Remote, in-process, sharded, and resumed runs are bit-identical
+/// everywhere, including sampled/straggler configs (DESIGN.md §16).
 enum class RngMode : std::uint8_t {
-  kLegacyStream = 0,
   kDerived = 1,
 };
 
@@ -63,8 +55,7 @@ bool derived_bernoulli(std::uint64_t root, std::uint64_t round,
 
 /// Complete serializable snapshot of an Rng. Restoring a state resumes
 /// the exact output stream — the checkpoint/resume path depends on this
-/// for bit-identical continuation of sampling, straggler draws, and
-/// client batch shuffles.
+/// for bit-identical continuation of the comm fabric's fault streams.
 struct RngState {
   std::uint64_t s[4] = {0, 0, 0, 0};
   bool has_cached_normal = false;

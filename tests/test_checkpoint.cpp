@@ -1,14 +1,15 @@
 // Checkpoint resume semantics: a run restored into a *fresh* server
 // must continue bit-identically to one that never stopped — including
-// sampler streams, straggler draws, per-client shuffle RNGs, the cached
-// reverse-target weights, and the detector reference. v3 adds the comm
-// fabric's fault-RNG streams and in-flight messages, so that holds for
-// chaos runs too. Also covers the v1/v2 compatibility paths and
-// malformed-file rejection.
+// the sampler's loss memory, the cached reverse-target weights, the
+// detector reference, the quantization residuals, and the comm fabric's
+// fault-RNG streams, in-flight messages and accounting, so that holds
+// for chaos runs too. Also covers rejection of the retired layouts and
+// of malformed files.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 
 #include "src/comm/network.hpp"
 #include "src/fl/simulation.hpp"
@@ -57,8 +58,9 @@ void expect_records_identical(const metrics::RoundRecord& a,
 
 TEST(CheckpointResume, FreshServerContinuesBitIdentically) {
   set_log_level(LogLevel::kError);
-  // Loss-biased sampling + stragglers exercise every serialized stream:
-  // the sampler's RNG and loss memory, and the straggler RNG.
+  // Loss-biased sampling + stragglers: the cohort depends on the
+  // sampler's serialized loss memory, and the derived sampler and
+  // straggler streams must land on the same draws after the resume.
   fl::SimulationConfig config = small_config();
   config.server.sampler = fl::SamplerPolicy::kLossBiased;
   config.server.straggler_drop_prob = 0.2;
@@ -89,8 +91,9 @@ TEST(CheckpointResume, DetectorReversesFromRestoredCache) {
   set_log_level(LogLevel::kError);
   // A replacement attack at round 3 drives round 4's inference losses
   // past the detector's reference, so round 4 reverses onto the cached
-  // weights — state that only survives a save/load through the v2
-  // format (a v1 resume would improvise both and diverge).
+  // weights — state that only survives a save/load because the
+  // checkpoint carries it (a weights-only resume would improvise both
+  // and diverge).
   fl::SimulationConfig config = small_config();
   config.server.detection_enabled = true;
   config.attack = "replacement";
@@ -124,9 +127,9 @@ TEST(CheckpointResume, DetectorReversesFromRestoredCache) {
 
 TEST(CheckpointResume, FaultedRunResumesBitIdentically) {
   set_log_level(LogLevel::kError);
-  // The hard case for v3: an active fault plan means the resumed run
-  // must replay the exact same per-link fault draws AND see the same
-  // stale duplicates still sitting in the fabric's queues.
+  // The hard case: an active fault plan means the resumed run must
+  // replay the exact same per-link fault draws AND see the same stale
+  // duplicates still sitting in the fabric's queues.
   fl::SimulationConfig config = small_config();
   comm::FaultPlan& faults = config.server.network.faults;
   faults.seed = 31;
@@ -155,9 +158,9 @@ TEST(CheckpointResume, FaultedRunResumesBitIdentically) {
                              resumed.server->history()[i]);
   }
   // Fabric accounting survives the checkpoint boundary: the resumed
-  // fabric's books still balance. (The v3 format dropped the counters,
-  // so a resumed run restarted them at zero while the queues carried
-  // in-flight duplicates, and this conservation sum broke.)
+  // fabric's books still balance. (A layout that dropped the counters
+  // restarted them at zero while the queues carried in-flight
+  // duplicates, and this conservation sum broke.)
   const comm::InMemoryNetwork& net = *resumed.server->network();
   const comm::TrafficStats traffic = net.total_stats();
   const comm::FaultStats fs = net.fault_stats();
@@ -169,10 +172,10 @@ TEST(CheckpointResume, FaultedRunResumesBitIdentically) {
 
 TEST(CheckpointResume, QuantizedRunWithPendingResidualResumesBitIdentically) {
   set_log_level(LogLevel::kError);
-  // The v5 payload under test: after two int8 + top-k rounds every
-  // participant holds a nonzero error-feedback residual, and the next
-  // round's uplink delta depends on it. A resume that dropped the
-  // residual would code different deltas and diverge immediately.
+  // After two int8 + top-k rounds every participant holds a nonzero
+  // error-feedback residual, and the next round's uplink delta depends
+  // on it. A resume that dropped the residual would code different
+  // deltas and diverge immediately.
   fl::SimulationConfig config = small_config();
   config.server.quant = comm::QuantMode::kInt8;
   config.server.quant_keep = 0.5;
@@ -183,7 +186,7 @@ TEST(CheckpointResume, QuantizedRunWithPendingResidualResumesBitIdentically) {
   fl::Simulation first_half = fl::build_simulation(config);
   first_half.server->run(2);
   const std::string path = temp_path("fedcav_quant_ckpt.bin");
-  first_half.server->save_checkpoint(path);  // v5 by default
+  first_half.server->save_checkpoint(path);
 
   fl::Simulation resumed = fl::build_simulation(config);
   resumed.server->load_checkpoint(path);
@@ -196,123 +199,43 @@ TEST(CheckpointResume, QuantizedRunWithPendingResidualResumesBitIdentically) {
     expect_records_identical(continuous.server->history()[2 + i],
                              resumed.server->history()[i]);
   }
-
-  // Prior formats still round-trip for the same run — a v4 file simply
-  // never carried the residual, so it loads with the residuals cleared
-  // (resumable, not bit-identical).
-  const std::string v4_path = temp_path("fedcav_quant_v4_ckpt.bin");
-  first_half.server->save_checkpoint(v4_path, /*version=*/4);
-  fl::Simulation legacy = fl::build_simulation(config);
-  legacy.server->load_checkpoint(v4_path);
-  EXPECT_EQ(legacy.server->current_round(), 2u);
-  legacy.server->run_round();  // must run cleanly from the cleared state
-  std::remove(path.c_str());
-  std::remove(v4_path.c_str());
-}
-
-TEST(CheckpointResume, WritesLoadableV2Files) {
-  set_log_level(LogLevel::kError);
-  // The legacy fabric-free format is still writable (version = 2) and
-  // loadable; on a fault-free fabric the resume stays bit-identical
-  // because a fresh fabric and a quiescent one behave the same.
-  fl::SimulationConfig config = small_config();
-  fl::Simulation continuous = fl::build_simulation(config);
-  continuous.server->run(3);
-
-  fl::Simulation first_half = fl::build_simulation(config);
-  first_half.server->run(1);
-  const std::string path = temp_path("fedcav_v2_ckpt.bin");
-  first_half.server->save_checkpoint(path, /*version=*/2);
-
-  fl::Simulation resumed = fl::build_simulation(config);
-  resumed.server->load_checkpoint(path);
-  EXPECT_EQ(resumed.server->current_round(), 1u);
-  resumed.server->run(2);
-  EXPECT_EQ(resumed.server->global_weights(), continuous.server->global_weights());
   std::remove(path.c_str());
 }
 
-TEST(CheckpointResume, RejectsUnsupportedSaveVersion) {
+TEST(CheckpointResume, RejectsEveryOlderMagic) {
   set_log_level(LogLevel::kError);
-  fl::Simulation sim = fl::build_simulation(small_config());
-  EXPECT_THROW(sim.server->save_checkpoint(temp_path("never_written.bin"), 1), Error);
-  EXPECT_THROW(sim.server->save_checkpoint(temp_path("never_written.bin"), 7), Error);
-}
-
-TEST(CheckpointResume, V6RoundTripsDerivedSeedMode) {
-  set_log_level(LogLevel::kError);
-  // The v6 payload carries the RNG mode: a derived-seed run restored
-  // into a fresh (legacy-default) server must come back in derived mode,
-  // or the resumed half would re-derive nothing and diverge.
-  fl::SimulationConfig config = small_config();
-  config.server.rng_mode = RngMode::kDerived;
-  config.server.straggler_drop_prob = 0.2;
-  fl::Simulation sim = fl::build_simulation(config);
-  sim.server->run(2);
-  const std::string path = temp_path("fedcav_v6_mode_ckpt.bin");
-  sim.server->save_checkpoint(path);  // default version = 6
-
-  fl::SimulationConfig legacy_config = small_config();
-  legacy_config.server.straggler_drop_prob = 0.2;
-  ASSERT_EQ(legacy_config.server.rng_mode, RngMode::kLegacyStream);
-  fl::Simulation resumed = fl::build_simulation(legacy_config);
-  resumed.server->load_checkpoint(path);
-  EXPECT_EQ(resumed.server->config().rng_mode, RngMode::kDerived);
-
-  // And the resumed run continues bit-identically to the unbroken one.
-  fl::Simulation continuous = fl::build_simulation(config);
-  continuous.server->run(4);
-  resumed.server->run(2);
-  EXPECT_EQ(resumed.server->global_weights(),
-            continuous.server->global_weights());
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointResume, PreV6FilesLoadInLegacyStreamMode) {
-  set_log_level(LogLevel::kError);
-  // A v5 file has no RNG-mode byte; loading one must force legacy-stream
-  // mode even into a server configured for derived seeds — the old file
-  // recorded advancing streams, not per-round derivation.
+  // One layout remains. A file stamped with any retired magic (v1-v6,
+  // ...17 to ...1c) is refused as an unsupported version — whatever
+  // follows the magic — instead of being misread or called corrupt.
   fl::SimulationConfig config = small_config();
   fl::Simulation sim = fl::build_simulation(config);
   sim.server->run(1);
-  const std::string path = temp_path("fedcav_v5_mode_ckpt.bin");
-  sim.server->save_checkpoint(path, /*version=*/5);
-
-  fl::SimulationConfig derived_config = small_config();
-  derived_config.server.rng_mode = RngMode::kDerived;
-  fl::Simulation resumed = fl::build_simulation(derived_config);
-  resumed.server->load_checkpoint(path);
-  EXPECT_EQ(resumed.server->config().rng_mode, RngMode::kLegacyStream);
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointResume, LoadsLegacyV1Files) {
-  set_log_level(LogLevel::kError);
-  fl::SimulationConfig config = small_config();
-  fl::Simulation sim = fl::build_simulation(config);
-  sim.server->run(1);
-  const nn::Weights weights = sim.server->global_weights();
-
-  // Hand-written v1 payload: magic, round, weights — nothing else.
-  ByteBuffer buf;
-  write_u64(buf, 0xfedca5c4ec9017ULL);
-  write_u64(buf, 7);
-  write_f32_span(buf, weights);
-  const std::string path = temp_path("fedcav_v1_ckpt.bin");
+  const std::string path = temp_path("fedcav_old_magic_ckpt.bin");
+  sim.server->save_checkpoint(path);
+  std::string image;
   {
-    std::ofstream out(path, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(buf.data()),
-              static_cast<std::streamsize>(buf.size()));
+    std::ifstream in(path, std::ios::binary);
+    image.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
   }
-
-  fl::Simulation fresh = fl::build_simulation(config);
-  fresh.server->load_checkpoint(path);
-  EXPECT_EQ(fresh.server->current_round(), 7u);
-  EXPECT_EQ(fresh.server->global_weights(), weights);
-  EXPECT_FALSE(fresh.server->detector().has_reference());
-  fresh.server->run_round();  // resumable, just not bit-identical
-  EXPECT_EQ(fresh.server->current_round(), 8u);
+  ASSERT_GT(image.size(), 8u);
+  for (std::uint64_t magic = 0xfedca5c4ec9017ULL; magic <= 0xfedca5c4ec901cULL; ++magic) {
+    ByteBuffer stamp;
+    write_u64(stamp, magic);
+    image.replace(0, stamp.size(), reinterpret_cast<const char*>(stamp.data()), stamp.size());
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << image;
+    }
+    fl::Simulation fresh = fl::build_simulation(config);
+    try {
+      fresh.server->load_checkpoint(path);
+      ADD_FAILURE() << "magic " << std::hex << magic << " loaded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version"),
+                std::string::npos)
+          << std::hex << magic << ": " << e.what();
+    }
+  }
   std::remove(path.c_str());
 }
 

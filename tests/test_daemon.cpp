@@ -105,7 +105,7 @@ struct FederationRun {
 
 struct FederationOptions {
   /// Flags appended to the daemon AND every worker (config knobs like
-  /// --derived-seeds / --straggler must agree on both sides).
+  /// --straggler / --quant must agree on both sides).
   std::vector<std::string> common;
   /// Per-worker extra flags (failure injection, token mismatch — a
   /// repeated flag's last occurrence wins in CliParser).
@@ -304,66 +304,74 @@ TEST(Daemon, TcpFederationBitIdenticalToInProcessRun) {
 }
 
 TEST(Daemon, DerivedSeedsSampledStragglerParityAcrossProcessLayouts) {
-  // THE regression pin of PR 10's tentpole. Under the legacy stream
-  // semantics this exact config — client sampling plus straggler drops —
-  // diverged across process layouts, because remote workers trained on
-  // every downlink (advancing their RNG streams) while in-process
-  // straggler-dropped clients never trained. With --derived-seeds every
-  // consumer reseeds per round from (seed, round, id, stream), so the
+  // THE regression pin of per-round derived seeds (DESIGN.md §16). Under
+  // long-lived RNG streams this exact config — client sampling plus
+  // straggler drops — diverged across process layouts, because remote
+  // workers trained on every downlink (advancing their streams) while
+  // in-process straggler-dropped clients never trained. Every consumer
+  // now reseeds per round from (seed, round, id, stream), so the
   // in-process run, the Unix-socket federation, and the TCP federation
-  // must produce byte-identical CSV history and final weights.
+  // must produce byte-identical CSV history and final weights — on the
+  // dense wire and on the int8 top-k wire, whose error-feedback
+  // residuals must also skip straggled rounds on both sides.
   constexpr std::size_t kClients = 4;
   constexpr std::size_t kRounds = 3;
-  const std::vector<std::string> knobs = {"--derived-seeds", "--straggler",
-                                          "0.25", "--sample-ratio", "0.5"};
+  const std::vector<std::vector<std::string>> wires = {
+      {}, {"--quant", "int8", "--quant-keep", "0.25"}};
+  int tcp_slot = 1;
+  for (const std::vector<std::string>& wire : wires) {
+    const std::string label = wire.empty() ? "dense" : "int8";
+    std::vector<std::string> knobs = {"--straggler", "0.25", "--sample-ratio", "0.5"};
+    knobs.insert(knobs.end(), wire.begin(), wire.end());
 
-  std::vector<std::string> ref_flags = knobs;
-  ref_flags.insert(ref_flags.end(), {"--clients", std::to_string(kClients)});
-  fl::Simulation sim = fl::build_simulation(federation_config_from(ref_flags));
-  ASSERT_EQ(sim.server->config().rng_mode, RngMode::kDerived);
-  sim.server->run(kRounds);
-  std::ostringstream ref_csv_stream;
-  sim.server->history().write_csv(ref_csv_stream, /*include_timings=*/false);
-  const std::string ref_csv = ref_csv_stream.str();
-  // The config must actually exercise the divergence: at least one
-  // straggler drop across the run, or the pin proves nothing.
-  std::size_t straggler_drops = 0;
-  for (const auto& record : sim.server->history().records()) {
-    straggler_drops += record.straggler_drops;
+    std::vector<std::string> ref_flags = knobs;
+    ref_flags.insert(ref_flags.end(), {"--clients", std::to_string(kClients)});
+    fl::Simulation sim = fl::build_simulation(federation_config_from(ref_flags));
+    sim.server->run(kRounds);
+    std::ostringstream ref_csv_stream;
+    sim.server->history().write_csv(ref_csv_stream, /*include_timings=*/false);
+    const std::string ref_csv = ref_csv_stream.str();
+    // The config must actually exercise the divergence: at least one
+    // straggler drop across the run, or the pin proves nothing.
+    std::size_t straggler_drops = 0;
+    for (const auto& record : sim.server->history().records()) {
+      straggler_drops += record.straggler_drops;
+    }
+    EXPECT_GT(straggler_drops, 0u)
+        << label << ": straggler knob never fired; pick a different seed/prob";
+
+    FederationOptions unix_opts;
+    unix_opts.common = knobs;
+    const FederationRun unix_run = run_federation(kClients, kRounds, unix_opts);
+    for (std::size_t i = 0; i < unix_run.exit_codes.size(); ++i) {
+      EXPECT_EQ(unix_run.exit_codes[i], 0)
+          << label << ": " << (i == 0 ? "daemon" : "worker") << " #" << i << " (unix)";
+    }
+    EXPECT_EQ(read_file(unix_run.csv), ref_csv)
+        << label << ": unix-socket history diverged from in-process";
+
+    FederationOptions tcp_opts;
+    tcp_opts.common = knobs;
+    tcp_opts.common.insert(tcp_opts.common.end(), {"--auth-token", "pr11"});
+    tcp_opts.tcp = true;
+    tcp_opts.tcp_slot = tcp_slot;
+    tcp_slot += 2;  // slot 2 belongs to WrongAuthTokenFailsFastAndLoud
+    const FederationRun tcp_run = run_federation(kClients, kRounds, tcp_opts);
+    for (std::size_t i = 0; i < tcp_run.exit_codes.size(); ++i) {
+      EXPECT_EQ(tcp_run.exit_codes[i], 0)
+          << label << ": " << (i == 0 ? "daemon" : "worker") << " #" << i << " (tcp)";
+    }
+    EXPECT_EQ(read_file(tcp_run.csv), ref_csv)
+        << label << ": TCP history diverged from in-process";
+
+    const std::string ref_weights_path = unix_run.dir + "/ref.bin";
+    tools::write_weights_file(ref_weights_path, sim.server->global_weights());
+    const std::string ref_weights = read_file(ref_weights_path);
+    EXPECT_EQ(read_file(unix_run.weights), ref_weights)
+        << label << ": unix-socket weights are not bit-identical";
+    EXPECT_EQ(read_file(tcp_run.weights), ref_weights)
+        << label << ": TCP weights are not bit-identical";
   }
-  EXPECT_GT(straggler_drops, 0u)
-      << "straggler knob never fired; pick a different seed/prob";
-
-  FederationOptions unix_opts;
-  unix_opts.common = knobs;
-  const FederationRun unix_run = run_federation(kClients, kRounds, unix_opts);
-  for (std::size_t i = 0; i < unix_run.exit_codes.size(); ++i) {
-    EXPECT_EQ(unix_run.exit_codes[i], 0)
-        << (i == 0 ? "daemon" : "worker") << " #" << i << " (unix)";
-  }
-  EXPECT_EQ(read_file(unix_run.csv), ref_csv)
-      << "unix-socket derived-seed history diverged from in-process";
-
-  FederationOptions tcp_opts;
-  tcp_opts.common = knobs;
-  tcp_opts.common.insert(tcp_opts.common.end(), {"--auth-token", "pr11"});
-  tcp_opts.tcp = true;
-  tcp_opts.tcp_slot = 1;
-  const FederationRun tcp_run = run_federation(kClients, kRounds, tcp_opts);
-  for (std::size_t i = 0; i < tcp_run.exit_codes.size(); ++i) {
-    EXPECT_EQ(tcp_run.exit_codes[i], 0)
-        << (i == 0 ? "daemon" : "worker") << " #" << i << " (tcp)";
-  }
-  EXPECT_EQ(read_file(tcp_run.csv), ref_csv)
-      << "TCP derived-seed history diverged from in-process";
-
-  const std::string ref_weights_path = unix_run.dir + "/ref.bin";
-  tools::write_weights_file(ref_weights_path, sim.server->global_weights());
-  const std::string ref_weights = read_file(ref_weights_path);
-  EXPECT_EQ(read_file(unix_run.weights), ref_weights)
-      << "unix-socket derived-seed weights are not bit-identical";
-  EXPECT_EQ(read_file(tcp_run.weights), ref_weights)
-      << "TCP derived-seed weights are not bit-identical";
 }
 
 TEST(Daemon, WrongAuthTokenFailsFastAndLoud) {

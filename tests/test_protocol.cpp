@@ -190,6 +190,35 @@ TEST(ServerProtocol, CrcDamagedMetadataIsNackedResentAndAccepted) {
   EXPECT_EQ(rec.upload_failures, 0u);
 }
 
+TEST(ServerProtocol, ReportOvertakingANackedMetadataFrameIsKeptForPhaseTwo) {
+  // Rank 1 uplinks its metadata (damaged in flight) and its report on the
+  // downlink's tick, then answers the NACK with metadata only. Phase ①
+  // drains the report while it still awaits the metadata resend; the
+  // report is held for phase ②, not discarded as stale — so no upload
+  // failure, and phase ② does not wait out the receive timeout.
+  const metrics::RoundRecord rec = run_scripted(
+      [](ScriptedWorkers& net, std::size_t rank, const std::vector<comm::Envelope>& inbox) {
+        if (rank != 1) return net.honest(rank, inbox);
+        for (const comm::Envelope& env : inbox) {
+          ByteReader reader(env.payload);
+          if (env.type == comm::MessageType::kGlobalModel) {
+            comm::GlobalModelMsg down = comm::GlobalModelMsg::decode(reader);
+            net.corrupt_next(1);
+            net.send_metadata(1, down.round, /*client_id=*/0);
+            net.send_report(1, down.round, /*client_id=*/0, std::move(down.weights));
+          } else if (env.type == comm::MessageType::kNack) {
+            net.send_metadata(1, comm::NackMsg::decode(reader).round, /*client_id=*/0);
+          }
+        }
+      });
+  EXPECT_EQ(rec.crc_failures, 1u);
+  EXPECT_EQ(rec.retries, 1u);
+  EXPECT_EQ(rec.stale_discards, 0u);
+  EXPECT_EQ(rec.participants, kClients);
+  EXPECT_EQ(rec.upload_failures, 0u);
+  EXPECT_LT(rec.phases.local_update, protocol_config().server.remote_recv_timeout_s);
+}
+
 TEST(ServerProtocol, WorkerNacksGetDownlinkRetransmitsUpToMaxRetries) {
   // Rank 1 NACKs every downlink it receives and never uplinks: the server
   // answers each NACK with a retransmit until max_retries, then stops;

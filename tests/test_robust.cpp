@@ -162,26 +162,37 @@ TEST(RobustFactory, RobustRulesSurviveByzantineRound) {
 
 TEST(Straggler, DropReducesParticipantsButTrainingContinues) {
   set_log_level(LogLevel::kError);
-  SimulationConfig config;
-  config.dataset = "digits";
-  config.model = "mlp";
-  config.train_samples_per_class = 15;
-  config.test_samples_per_class = 10;
-  config.partition.num_clients = 10;
-  config.server.sample_ratio = 1.0;
-  config.server.straggler_drop_prob = 0.5;
-  config.server.local.lr = 0.05f;
-  Simulation sim = build_simulation(config);
-  sim.server->run(6);
-  // Some rounds lost participants but none went empty.
-  bool any_reduced = false;
-  for (const auto& record : sim.server->history().records()) {
-    EXPECT_GE(record.participants, 1u);
-    EXPECT_LE(record.participants, 10u);
-    if (record.participants < 10) any_reduced = true;
+  // Half of every cohort straggles out. Rounds lose participants, and a
+  // round whose every report drops falls below the quorum and skips
+  // (the global model carries forward); the others aggregate.
+  const std::vector<std::uint64_t> seeds = {2021, 1, 2, 3};
+  double best_sum = 0.0;
+  for (const std::uint64_t seed : seeds) {
+    SimulationConfig config;
+    config.dataset = "digits";
+    config.model = "mlp";
+    config.seed = seed;
+    config.train_samples_per_class = 15;
+    config.test_samples_per_class = 10;
+    config.partition.num_clients = 10;
+    config.server.sample_ratio = 1.0;
+    config.server.straggler_drop_prob = 0.5;
+    config.server.local.lr = 0.05f;
+    Simulation sim = build_simulation(config);
+    sim.server->run(6);
+    bool any_reduced = false;
+    for (const auto& record : sim.server->history().records()) {
+      EXPECT_EQ(record.sampled, record.participants + record.straggler_drops) << seed;
+      EXPECT_EQ(record.skipped, record.participants < config.server.min_aggregate_clients)
+          << seed;
+      if (record.participants < 10) any_reduced = true;
+    }
+    EXPECT_TRUE(any_reduced) << seed;
+    best_sum += sim.server->history().best_accuracy();
   }
-  EXPECT_TRUE(any_reduced);
-  EXPECT_GT(sim.server->history().best_accuracy(), 0.3);
+  // One seed's best accuracy is a draw; the mean over a few still
+  // catches training that stalled.
+  EXPECT_GT(best_sum / static_cast<double>(seeds.size()), 0.3);
 }
 
 TEST(Straggler, ZeroProbabilityKeepsFullCohort) {

@@ -10,11 +10,11 @@
 // to whatever the daemon sends and exits when the daemon closes the
 // connection (EOF is shutdown).
 //
-// With --derived-seeds the worker also evaluates its own straggler coin
-// (a pure function of seed/round/client id — DESIGN.md §16): a
-// straggled round uplinks the metadata scalars but skips training and
-// the report, exactly like the in-process path, so sampled/straggler
-// configs stay bit-identical across process layouts.
+// The worker also evaluates its own straggler coin (a pure function of
+// seed/round/client id — DESIGN.md §16): a straggled round uplinks the
+// metadata scalars but skips training and the report, exactly like the
+// in-process path, so sampled/straggler configs stay bit-identical
+// across process layouts.
 //
 //   ./fedcav_worker --socket /tmp/fed.sock --clients 4 [--rank 2]
 //
@@ -95,21 +95,15 @@ int main(int argc, char** argv) {
       if (exit_after_meta != 0 && down->round == exit_after_meta) {
         ::_exit(0);  // vanish mid-uplink → phase-② upload failure
       }
-      if (config.server.rng_mode == RngMode::kDerived) {
-        // The straggler coin is a pure function of (seed, round, client
-        // id), so the worker reaches the same verdict the daemon does
-        // without a control message: a straggled round ends after the
-        // metadata uplink — no training, no report — exactly like the
-        // in-process path.
-        if (derived_bernoulli(config.seed, down->round, client.id(),
-                              RngStream::kStraggler,
-                              config.server.straggler_drop_prob)) {
-          continue;
-        }
-        // Per-participation reseed: local training draws from the same
-        // derived stream regardless of this worker's downlink history.
-        client.reseed_for_round(config.seed, down->round);
+      // The daemon flips the same coin, so no control message is needed:
+      // a straggled round ends after the metadata uplink.
+      if (derived_bernoulli(config.server.seed, down->round, client.id(),
+                            RngStream::kStraggler, config.server.straggler_drop_prob)) {
+        continue;
       }
+      // Per-participation reseed: local training draws from the same
+      // derived stream regardless of this worker's downlink history.
+      client.reseed_for_round(config.server.seed, down->round);
       endpoint.send_report(client.train_update(*model, down->weights, local, f_i),
                            down->weights);
     }

@@ -46,8 +46,8 @@ inline void add_federation_flags(CliParser& cli) {
   cli.add_double("straggler", 0.0,
                  "per-round probability a sampled client straggles out");
   cli.add_flag("derived-seeds",
-               "per-round derived RNG streams (DESIGN.md §16): required for "
-               "bit-identical sampled/straggler runs across process layouts");
+               "accepted for compatibility: per-round derived RNG streams "
+               "(DESIGN.md §16) are the only mode");
 }
 
 inline fl::SimulationConfig federation_config(const CliParser& cli) {
@@ -71,8 +71,6 @@ inline fl::SimulationConfig federation_config(const CliParser& cli) {
   config.server.quant_keep = cli.get_double("quant-keep");
   config.server.remote_recv_timeout_s = cli.get_double("recv-timeout");
   config.server.straggler_drop_prob = cli.get_double("straggler");
-  config.server.rng_mode =
-      cli.get_flag("derived-seeds") ? RngMode::kDerived : RngMode::kLegacyStream;
   config.server.seed = config.seed;
   return config;
 }
