@@ -1,8 +1,8 @@
 // Cohort-scaling benchmark: proves a round's peak memory is bounded by
 // the replica pool (O(K × model), K ≈ thread-pool size) and NOT by the
 // cohort size — the PR-5 streaming guarantee (DESIGN.md §11), now
-// carried by the sharded round engine (DESIGN.md §15) up to a simulated
-// 102400-client round.
+// carried by the streaming round pipeline (DESIGN.md §15) up to a
+// simulated 102400-client round.
 //
 // For each cohort size it builds a full-participation simulation on a
 // tiny model (the per-class sample count grows with the cohort so every
@@ -25,18 +25,14 @@
 //            within 4x of the smallest (rounds scale ~linearly);
 //   quant  — the int8 + top-k codec must stay streaming: its peak bytes
 //            within 1.5x of the dense round at the same cohort size;
-//   shards — the emitted round CSV and final weights at shards 1/2/4/16
-//            must be byte-identical (DESIGN.md §15 shard parity);
 //   repro  — in --smoke, the first cohort runs twice with the same seed
 //            and the deterministic fields must match exactly (this is
 //            what pins the --seed flag: results are a function of it).
 //
-// Usage: cohort_scale [--smoke] [--seed <n>] [--shards <n>] [--out <path>]
-//   --smoke   CI-sized cohorts 64/256 (plus 4096 when --shards > 1)
-//             instead of 64/256/1024/4096/16384/102400
+// Usage: cohort_scale [--smoke] [--seed <n>] [--out <path>]
+//   --smoke   CI-sized cohorts 64/256/4096 instead of
+//             64/256/1024/4096/16384/102400
 //   --seed    simulation seed for every run (default 2021)
-//   --shards  round-engine shard count for the scaling rows (default 1;
-//             the shard-parity gate always sweeps 1/2/4/16 regardless)
 //   --out     override the JSON destination (default <repo>/BENCH_cohort.json)
 #include <chrono>
 #include <cstdio>
@@ -58,7 +54,6 @@ using namespace fedcav;
 struct CohortResult {
   std::size_t clients = 0;
   std::size_t participants = 0;
-  std::size_t shards = 1;
   std::uint64_t peak_live_bytes = 0;
   double round_ms = 0.0;
   double per_client_ms = 0.0;
@@ -81,8 +76,7 @@ std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t bytes) {
 }
 
 CohortResult run_cohort(std::size_t clients, std::size_t workers,
-                        std::uint64_t seed, std::size_t shards,
-                        bool quant_uplink = false) {
+                        std::uint64_t seed, bool quant_uplink = false) {
   fl::SimulationConfig config;
   config.dataset = "digits";
   config.model = "mlp";
@@ -102,7 +96,6 @@ CohortResult run_cohort(std::size_t clients, std::size_t workers,
   config.server.local.batch_size = 4;
   config.server.use_network = false;
   config.server.telemetry = true;  // export pool.occupancy / agg.peak_bytes
-  config.server.shards = shards;
   if (quant_uplink) {
     // Quantized uplink (DESIGN.md §13): the int8 + top-k codec and its
     // per-client error-feedback residual must not break the O(K × model)
@@ -148,7 +141,6 @@ CohortResult run_cohort(std::size_t clients, std::size_t workers,
   CohortResult r;
   r.clients = clients;
   r.participants = rec.participants;
-  r.shards = shards;
   r.peak_live_bytes = Tensor::alloc_stats().peak_live_bytes;
   r.round_ms = round_ms;
   r.per_client_ms = round_ms / static_cast<double>(clients);
@@ -174,8 +166,8 @@ bool bits_equal(const nn::Weights& a, const nn::Weights& b) {
 }
 
 void print_row(const CohortResult& r, const char* quant) {
-  std::printf("%8zu %13zu %7zu %14.3f %10.1f %14.3f %6zu/%zu %7s\n", r.clients,
-              r.participants, r.shards,
+  std::printf("%8zu %13zu %14.3f %10.1f %14.3f %6zu/%zu %7s\n", r.clients,
+              r.participants,
               static_cast<double>(r.peak_live_bytes) / (1024.0 * 1024.0),
               r.round_ms, r.per_client_ms, r.pool_replicas, r.pool_max, quant);
 }
@@ -185,7 +177,6 @@ void print_row(const CohortResult& r, const char* quant) {
 int main(int argc, char** argv) {
   bool smoke = false;
   std::uint64_t seed = 2021;
-  std::size_t shards = 1;
 #ifdef FEDCAV_REPO_ROOT
   std::string out_path = std::string(FEDCAV_REPO_ROOT) + "/BENCH_cohort.json";
 #else
@@ -196,25 +187,20 @@ int main(int argc, char** argv) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--smoke] [--seed <n>] [--shards <n>] [--out <path>]\n",
+                   "usage: %s [--smoke] [--seed <n>] [--out <path>]\n",
                    argv[0]);
       return 2;
     }
   }
-  if (shards == 0) shards = 1;
-
-  std::vector<std::size_t> cohorts =
-      smoke ? std::vector<std::size_t>{64, 256}
+  // The smoke's 4096-client cohort keeps the flat-memory and int8
+  // gates at a scale where the pipeline streams many windows.
+  const std::vector<std::size_t> cohorts =
+      smoke ? std::vector<std::size_t>{64, 256, 4096}
             : std::vector<std::size_t>{64, 256, 1024, 4096, 16384, 102400};
-  // Multi-shard smoke (the CI configuration) adds one mid-scale cohort so
-  // the engine streams enough waves per shard to mean something.
-  if (smoke && shards > 1) cohorts.push_back(4096);
   const std::size_t workers = 4;
   // Error-feedback residuals are per-client state (~one model each), so
   // the quantized row is capped where that stays comfortably in RAM.
@@ -224,22 +210,19 @@ int main(int argc, char** argv) {
     if (c <= quant_cap) quant_clients = c;
   }
 
-  std::printf("cohort_scale: seed=%llu shards=%zu%s\n",
-              static_cast<unsigned long long>(seed), shards,
+  std::printf("cohort_scale: seed=%llu%s\n", static_cast<unsigned long long>(seed),
               smoke ? " (smoke)" : "");
-  std::printf("%8s %13s %7s %14s %10s %14s %9s %7s\n", "clients", "participants",
-              "shards", "peak MiB", "round ms", "per-client ms", "replicas",
-              "quant");
+  std::printf("%8s %13s %14s %10s %14s %9s %7s\n", "clients", "participants",
+              "peak MiB", "round ms", "per-client ms", "replicas", "quant");
   std::vector<CohortResult> results;
   for (std::size_t clients : cohorts) {
-    CohortResult r = run_cohort(clients, workers, seed, shards);
+    CohortResult r = run_cohort(clients, workers, seed);
     print_row(r, "no");
     results.push_back(std::move(r));
   }
   // One quantized-uplink cohort at the largest capped size: same
   // bounded-memory guarantee with the int8 + top-k codec in the loop.
-  CohortResult quant_r =
-      run_cohort(quant_clients, workers, seed, shards, /*quant_uplink=*/true);
+  CohortResult quant_r = run_cohort(quant_clients, workers, seed, /*quant_uplink=*/true);
   print_row(quant_r, "int8");
 
   std::ofstream json(out_path);
@@ -257,7 +240,7 @@ int main(int argc, char** argv) {
     std::snprintf(digest, sizeof(digest), "%016llx",
                   static_cast<unsigned long long>(r.digest));
     json << "  {\"clients\": " << r.clients << ", \"participants\": " << r.participants
-         << ", \"shards\": " << r.shards << ", \"seed\": " << seed
+         << ", \"seed\": " << seed
          << ", \"peak_live_bytes\": " << r.peak_live_bytes
          << ", \"round_ms\": " << r.round_ms << ", \"per_client_ms\": " << r.per_client_ms
          << ", \"pool_replicas\": " << r.pool_replicas << ", \"pool_max\": " << r.pool_max
@@ -352,33 +335,12 @@ int main(int argc, char** argv) {
                  "scaling linearly in cohort size\n", time_ratio);
     ok = false;
   }
-  // Shard-parity gate (DESIGN.md §15): the shard count must be invisible
-  // to the deterministic outputs — CSV and final weights byte-identical
-  // at shards 1/2/4/16 on the smallest cohort.
-  {
-    const CohortResult base =
-        shards == 1 ? small : run_cohort(small.clients, workers, seed, 1);
-    for (const std::size_t s : {std::size_t{2}, std::size_t{4}, std::size_t{16}}) {
-      const CohortResult sharded = run_cohort(small.clients, workers, seed, s);
-      const bool same =
-          sharded.csv == base.csv && bits_equal(sharded.weights, base.weights);
-      std::printf("shard parity at %zu clients, shards=%zu: %s\n", small.clients,
-                  s, same ? "identical" : "DIVERGED");
-      if (!same) {
-        std::fprintf(stderr,
-                     "FAIL: shards=%zu produced different CSV/weights than the "
-                     "single-shard round\n",
-                     s);
-        ok = false;
-      }
-    }
-  }
   // Reproducibility gate (smoke): the same --seed must reproduce every
   // deterministic field of the first row exactly — participants, round
   // CSV, and final weights (via the digest). Timing fields are excluded
   // by construction.
   if (smoke) {
-    const CohortResult again = run_cohort(small.clients, workers, seed, shards);
+    const CohortResult again = run_cohort(small.clients, workers, seed);
     const bool same = again.participants == small.participants &&
                       again.digest == small.digest && again.csv == small.csv &&
                       bits_equal(again.weights, small.weights);

@@ -2,14 +2,14 @@
 # Tier-1 gate, run from anywhere: configure + build + ctest, first in the
 # default configuration, then with FEDCAV_SANITIZE=ON (ASan+UBSan), and
 # finally with FEDCAV_SANITIZE=thread (TSan) over the concurrency-heavy
-# suites (thread pool, obs tracer/registry, server rounds, and the
-# fault-injection chaos/golden suites — the retry protocol runs on pool
-# threads, so TSan coverage there is mandatory). The plain build also
-# replays the kernel + golden suites under FEDCAV_TEST_THREADS=1 and =4
-# (parallel-kernel determinism gate, DESIGN.md §13) and under
-# FEDCAV_TEST_SHARDS=1 and =4 (shard-determinism gate, DESIGN.md §15);
-# the TSan build replays both hooks at the 4-way fan-out. Each
-# configuration gets its own build tree so they never thrash one cache.
+# suites (thread pool, the round pipeline's WaveScheduler, obs
+# tracer/registry, server rounds, and the fault-injection chaos/golden
+# suites — the retry protocol runs on pool threads, so TSan coverage
+# there is mandatory). The plain build also replays the kernel + golden
+# suites under FEDCAV_TEST_THREADS=1 and =4 (parallel-kernel determinism
+# gate, DESIGN.md §13); the TSan build replays them at the 4-way
+# fan-out. Each configuration gets its own build tree so they never
+# thrash one cache.
 #
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
@@ -46,28 +46,14 @@ for threads in 1 4; do
   FEDCAV_TEST_THREADS="${threads}" ctest --test-dir "${repo}/build" \
     --output-on-failure -j "${jobs}" -R "${kernel_filter}" "${ctest_args[@]}"
 done
-# Shard-determinism gate (DESIGN.md §15): replay the golden, chaos-seed,
-# and kernel suites with the FEDCAV_TEST_SHARDS hook forcing every round
-# through a 1-shard and a 4-shard engine. The goldens and committed
-# chaos seeds pin exact values, so a pass proves the shard count is
-# invisible to results at suite scale.
-shard_filter="${kernel_filter}|ChaosSeeds|RoundEngine|Server|Integration"
-for shards in 1 4; do
-  echo "==> ctest shard suites, FEDCAV_TEST_SHARDS=${shards} (plain)"
-  FEDCAV_TEST_SHARDS="${shards}" ctest --test-dir "${repo}/build" \
-    --output-on-failure -j "${jobs}" -R "${shard_filter}" "${ctest_args[@]}"
-done
 # Cohort-scaling memory gate (replica-pool bound, DESIGN.md §11 + §15):
-# smoke runs of the bench enforce that peak round memory does not scale
-# with the cohort — single-shard, and sharded with a 4096-client round —
-# in both the plain and sanitized builds. The bench also self-gates
-# shard-count bit-identity of the emitted CSV and --seed reproducibility.
+# a smoke run of the bench enforces that peak round memory does not
+# scale with the cohort, up to a 4096-client round, dense and int8, in
+# both the plain and sanitized builds. The bench also self-gates --seed
+# reproducibility.
 echo "==> cohort_scale smoke (plain)"
 timeout 300 "${repo}/build/bench/cohort_scale" --smoke \
   --out "${repo}/build/BENCH_cohort_smoke.json"
-echo "==> cohort_scale smoke --shards 4 (plain)"
-timeout 300 "${repo}/build/bench/cohort_scale" --smoke --shards 4 \
-  --out "${repo}/build/BENCH_cohort_smoke_sharded.json"
 # Time-boxed chaos-search smoke (DESIGN.md §12): a short adaptive search
 # over the fault-plan space must find zero invariant violations. The
 # budget keeps this inside a few seconds; the full regression corpus is
@@ -97,9 +83,6 @@ run_config "${repo}/build-sanitize" "" -DFEDCAV_SANITIZE=ON
 echo "==> cohort_scale smoke (sanitize)"
 timeout 600 "${repo}/build-sanitize/bench/cohort_scale" --smoke \
   --out "${repo}/build-sanitize/BENCH_cohort_smoke.json"
-echo "==> cohort_scale smoke --shards 4 (sanitize)"
-timeout 600 "${repo}/build-sanitize/bench/cohort_scale" --smoke --shards 4 \
-  --out "${repo}/build-sanitize/BENCH_cohort_smoke_sharded.json"
 echo "==> chaos_search smoke (sanitize)"
 timeout 600 "${repo}/build-sanitize/tools/chaos_search" --budget 10 --seed 1
 echo "==> multiproc smoke (sanitize)"
@@ -108,7 +91,7 @@ echo "==> multiproc smoke, tcp (sanitize)"
 timeout 600 "${repo}/scripts/multiproc_smoke.sh" "${repo}/build-sanitize" 2 2 tcp
 
 run_config "${repo}/build-tsan" \
-  "ThreadPool|Obs|CheckpointResume|Server|Integration|Chaos|Faults|GoldenRun" \
+  "ThreadPool|WaveScheduler|Obs|CheckpointResume|Server|Integration|Chaos|Faults|GoldenRun" \
   -DFEDCAV_SANITIZE=thread
 # Race-check the parallel kernels themselves: the same kernel suites the
 # plain build replays, but under TSan with a 4-worker kernel pool
@@ -116,11 +99,5 @@ run_config "${repo}/build-tsan" \
 echo "==> ctest kernel suites, FEDCAV_TEST_THREADS=4 (tsan)"
 FEDCAV_TEST_THREADS=4 ctest --test-dir "${repo}/build-tsan" \
   --output-on-failure -j "${jobs}" -R "${kernel_filter}" "${ctest_args[@]}"
-# Race-check the sharded round engine: the wave pipeline's produce side
-# runs on pool workers while the fold side hops threads, so the golden,
-# chaos-seed, and server suites replay under TSan at a 4-shard fan-out.
-echo "==> ctest shard suites, FEDCAV_TEST_SHARDS=4 (tsan)"
-FEDCAV_TEST_SHARDS=4 ctest --test-dir "${repo}/build-tsan" \
-  --output-on-failure -j "${jobs}" -R "${shard_filter}" "${ctest_args[@]}"
 
 echo "OK: plain, sanitized, and thread-sanitized tier-1 suites passed"

@@ -8,7 +8,6 @@
 #include <filesystem>
 #include <sstream>
 
-#include "src/fl/round_engine.hpp"
 #include "src/fl/simulation.hpp"
 #include "src/utils/error.hpp"
 
@@ -36,7 +35,6 @@ fl::SimulationConfig config_for(const ChaosPlan& plan) {
   config.server.uplink_deadline_s = plan.uplink_deadline_s;
   config.server.straggler_drop_prob = plan.straggler_drop_prob;
   config.server.network.faults = plan.faults;
-  config.server.shards = plan.shards;  // 0 = auto (process default)
   return config;
 }
 
@@ -221,38 +219,6 @@ OracleResult run_oracle(const ChaosPlan& plan, const OracleOptions& options) {
       result.passed = false;
       result.invariant = "streaming_parity";
       result.detail = "buffered aggregation diverged from streaming run";
-      result.triggered = true;
-      return result;
-    }
-  }
-
-  // Shard parity (DESIGN.md §15): the shard count must be invisible to
-  // results. A forced single-shard replay of the same plan has to match
-  // the base run bit-for-bit — fold order is the chained ascending-slot
-  // reduction either way, so any divergence is an engine bug.
-  const std::size_t effective_shards =
-      plan.shards != 0 ? plan.shards : fl::default_round_shards();
-  if (options.check_shard_parity && effective_shards != 1) {
-    fl::SimulationConfig single = config_for(plan);
-    single.server.shards = 1;
-    fl::Simulation flat = fl::build_simulation(single);
-    if (options.pool != nullptr) flat.server->set_thread_pool(options.pool);
-    try {
-      flat.server->run(plan.rounds);
-    } catch (const Error& e) {
-      result.passed = false;
-      result.invariant = "exception";
-      result.detail = std::string("single-shard run: ") + e.what();
-      result.triggered = true;
-      return result;
-    }
-    if (deterministic_csv(*flat.server) != deterministic_csv(base_server) ||
-        !bits_equal(flat.server->global_weights(),
-                    base_server.global_weights())) {
-      result.passed = false;
-      result.invariant = "shard_parity";
-      result.detail = "shards=" + std::to_string(effective_shards) +
-                      " diverged from the single-shard run";
       result.triggered = true;
       return result;
     }

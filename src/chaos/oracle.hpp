@@ -14,8 +14,6 @@
 //   * streaming parity: a run whose strategy is wrapped to force the
 //     buffered aggregation path is bit-identical (deterministic CSV +
 //     final weights) to the streaming run ("streaming_parity");
-//   * shard parity: when the plan runs multi-sharded, a forced
-//     single-shard replay is bit-identical ("shard_parity");
 //   * resume: run checkpoint_round rounds, save, restore into a fresh
 //     simulation, finish — post-resume records, final weights, and the
 //     conservation invariant must match a run that never stopped
@@ -48,10 +46,6 @@ struct OracleOptions {
   /// schedule-independence replay always execute.
   bool check_streaming_parity = true;
   bool check_resume = true;
-  /// Shard-parity (DESIGN.md §15): when the plan's effective shard count
-  /// is > 1, a forced single-shard replay must be bit-identical
-  /// (deterministic CSV + final weights) to the sharded run.
-  bool check_shard_parity = true;
 };
 
 struct OracleResult {

@@ -59,7 +59,6 @@ std::string ChaosPlan::describe() const {
   axis("deadline", uplink_deadline_s);
   if (!faults.crashes.empty()) out << " crashes=" << format_crash_spec(faults.crashes);
   if (min_aggregate_clients > 1) out << " quorum=" << min_aggregate_clients;
-  if (shards > 0) out << " shards=" << shards;
   out << " retries=" << max_retries << " clients=" << num_clients
       << " rounds=" << rounds;
   return out.str();
@@ -85,7 +84,6 @@ std::string ChaosPlan::to_text() const {
   out << "retry_backoff_s=" << fmt_double(retry_backoff_s) << '\n';
   out << "uplink_deadline_s=" << fmt_double(uplink_deadline_s) << '\n';
   out << "straggler_drop_prob=" << fmt_double(straggler_drop_prob) << '\n';
-  out << "shards=" << shards << '\n';
   return out.str();
 }
 
@@ -136,8 +134,6 @@ ChaosPlan ChaosPlan::parse(const std::string& text) {
       plan.uplink_deadline_s = parse_double(value);
     } else if (key == "straggler_drop_prob") {
       plan.straggler_drop_prob = parse_double(value);
-    } else if (key == "shards") {
-      plan.shards = parse_size(value, key);
     } else {
       throw Error("ChaosPlan: unknown key '" + key + "'");
     }

@@ -38,12 +38,6 @@ struct ChaosPlan {
   double retry_backoff_s = 0.01;
   double uplink_deadline_s = 0.0;  // 0 = no deadline
   double straggler_drop_prob = 0.0;
-  /// Round-engine shard count (DESIGN.md §15). 0 = auto (the process
-  /// default, so committed seed plans also replay under the
-  /// FEDCAV_TEST_SHARDS hook); N pins the run to N shards — results
-  /// must be invariant, which is exactly what the oracle's shard-parity
-  /// check proves against a forced single-shard replay.
-  std::size_t shards = 0;
 
   /// Throws fedcav::Error on out-of-range values (delegates the fault
   /// axes to FaultPlan::validate against num_clients + 1 endpoints).

@@ -23,10 +23,6 @@ ParamSpace ParamSpace::protocol_space() {
       {"min_aggregate_clients", {1.0, 2.0, 3.0}},
       {"max_retries", {0.0, 1.0, 3.0}},
       {"uplink_deadline_s", {0.0, 1.0, 20.0}},
-      // Round-engine shard count (DESIGN.md §15): shard × fault ×
-      // quorum interactions — the per-shard accounting ledger and the
-      // shard-parity oracle both run at whatever this picks.
-      {"shards", {1.0, 2.0, 4.0}},
   };
   return space;
 }
@@ -73,8 +69,6 @@ ChaosPlan ParamSpace::materialize(const std::vector<std::size_t>& choice,
       plan.max_retries = static_cast<std::size_t>(v);
     } else if (axis.name == "uplink_deadline_s") {
       plan.uplink_deadline_s = v;
-    } else if (axis.name == "shards") {
-      plan.shards = static_cast<std::size_t>(v);
     } else {
       throw Error("ParamSpace::materialize: unknown axis '" + axis.name + "'");
     }

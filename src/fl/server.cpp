@@ -1,10 +1,11 @@
 #include "src/fl/server.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iterator>
 
-#include "src/fl/round_engine.hpp"
+#include "src/fl/wave_scheduler.hpp"
 #include "src/metrics/evaluation.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
@@ -47,10 +48,10 @@ class PhaseTimer {
 
 /// Analytic peak of aggregation-owned tensor bytes for `n` updates of
 /// `dim` floats: a streaming strategy holds one f64 accumulator plus at
-/// most `wave` materialized f32 updates; a buffering one holds them all.
+/// most `window` materialized f32 updates; a buffering one holds them all.
 double aggregation_peak_bytes(const AggregationStrategy& strategy, std::size_t dim,
-                              std::size_t n, std::size_t wave) {
-  const std::size_t held = strategy.streaming_aggregation() ? std::min(wave, n) : n;
+                              std::size_t n, std::size_t window) {
+  const std::size_t held = strategy.streaming_aggregation() ? std::min(window, n) : n;
   const std::size_t accumulator = strategy.streaming_aggregation() ? sizeof(double) : 0;
   return static_cast<double>(dim) *
          static_cast<double>(accumulator + held * sizeof(float));
@@ -81,6 +82,8 @@ void ServerConfig::validate(std::size_t num_clients) const {
                  "ServerConfig: max_retries > 16 (exponential backoff overflows)");
   FEDCAV_REQUIRE(retry_backoff_s >= 0.0, "ServerConfig: negative retry_backoff_s");
   FEDCAV_REQUIRE(uplink_deadline_s >= 0.0, "ServerConfig: negative uplink_deadline_s");
+  FEDCAV_REQUIRE(remote_recv_timeout_s > 0.0 && std::isfinite(remote_recv_timeout_s),
+                 "ServerConfig: remote_recv_timeout_s must be finite and > 0");
   FEDCAV_REQUIRE(quant_keep > 0.0 && quant_keep <= 1.0,
                  "ServerConfig: quant_keep must be in (0, 1]");
 }
@@ -276,14 +279,13 @@ metrics::RoundRecord Server::run_round() {
   }
   record.sampled = participants.size();
 
-  // Sharded round engine (DESIGN.md §15): the cohort is split into
-  // contiguous shards that stream independently, chained into one
-  // fixed-order reduction — bit-identical at every shard count. 0 =
-  // auto: the process default (normally 1; FEDCAV_TEST_SHARDS raises it
-  // for whole-suite replays).
-  const std::size_t shard_request =
-      config_.shards != 0 ? config_.shards : default_round_shards();
-  ShardedRoundEngine engine(pool(), participants.size(), shard_request);
+  // Pipeline window (DESIGN.md §15): how many participants may train,
+  // and so how many full updates may exist, ahead of the fold cursor in
+  // phase ②. A remote transport is single-threaded and its workers
+  // train, so it folds one report at a time: window 1 is the serial
+  // loop. In-process, one per pool worker.
+  const std::size_t window =
+      endpoint_.remote() ? 1 : std::max<std::size_t>(1, pool().size());
 
   // Downlink: the global model is encoded once per round. Quantized runs
   // ADOPT THE DECODED IMAGE as the round's reference w̃_t: every later use
@@ -307,23 +309,26 @@ metrics::RoundRecord Server::run_round() {
   {
     PhaseTimer phase("metadata", round_, record.phases.metadata);
     endpoint_.begin_phase(participants);
-    engine.run_metadata(
-        [&](std::size_t i) {
-          Client& client = *clients_[participants[i]];
-          outcomes[i] = endpoint_.exchange_metadata(
-              participants[i] + 1, client, [&](const nn::Weights& w) {
-                nn::ReplicaPool::Lease replica = replica_pool_->acquire();
-                return client.compute_inference_loss(replica.model(), w);
-              });
-        },
-        endpoint_.remote());
+    auto exchange = [&](std::size_t i) {
+      Client& client = *clients_[participants[i]];
+      outcomes[i] = endpoint_.exchange_metadata(
+          participants[i] + 1, client, [&](const nn::Weights& w) {
+            nn::ReplicaPool::Lease replica = replica_pool_->acquire();
+            return client.compute_inference_loss(replica.model(), w);
+          });
+    };
+    if (endpoint_.remote()) {
+      for (std::size_t i = 0; i < outcomes.size(); ++i) exchange(i);
+    } else {
+      pool().parallel_for(outcomes.size(), exchange);
+    }
   }
 
   // Collect, in fixed participant order: sampled clients whose exchange
   // failed (crash, retry exhaustion, deadline) become dropouts — the
   // fault-fabric analogue of a straggler.
   std::vector<ClientUpdate> metadata;    // scalars only; weights stay empty
-  std::vector<std::size_t> survivor_slots;  // original sampled slot (shard owner)
+  std::vector<std::size_t> survivor_slots;  // original sampled slot
   std::vector<double> survivor_elapsed;  // phase-① simulated time, carried into ②
   metadata.reserve(outcomes.size());
   survivor_slots.reserve(outcomes.size());
@@ -336,7 +341,6 @@ metrics::RoundRecord Server::run_round() {
       survivor_elapsed.push_back(outcomes[i].elapsed_s);
     } else {
       record.dropouts += 1;
-      engine.note_dropout(i);
     }
   }
   outcomes.clear();
@@ -354,13 +358,10 @@ metrics::RoundRecord Server::run_round() {
       keep[i] = !derived_bernoulli(config_.seed, round_, metadata[i].client_id,
                                    RngStream::kStraggler, config_.straggler_drop_prob);
     }
-    // Compact the survivor columns in place; each drop books to its shard.
+    // Compact the survivor columns in place.
     std::size_t kept = 0;
     for (std::size_t i = 0; i < metadata.size(); ++i) {
-      if (!keep[i]) {
-        engine.note_straggler(survivor_slots[i]);
-        continue;
-      }
+      if (!keep[i]) continue;
       if (kept != i) {
         metadata[kept] = std::move(metadata[i]);
         survivor_slots[kept] = survivor_slots[i];
@@ -377,10 +378,6 @@ metrics::RoundRecord Server::run_round() {
   FEDCAV_REQUIRE(record.sampled ==
                      record.participants + record.dropouts + record.straggler_drops,
                  "Server: round accounting invariant violated");
-  // Same invariant at shard granularity: every sampled slot's fate must
-  // have been booked against its owning shard (DESIGN.md §15).
-  engine.check_accounting(record.participants, record.dropouts,
-                          record.straggler_drops);
 
   // Quorum: with fewer survivors than min_aggregate_clients the round is
   // skipped outright — no training, no attack, no detection, no
@@ -393,12 +390,6 @@ metrics::RoundRecord Server::run_round() {
 
   const bool attack_now = !record.skipped && adversary_ != nullptr &&
                           attack_rounds_.count(round_) > 0 && !metadata.empty();
-  // Pipeline window: how many participants may train (and thus how many
-  // full updates may be materialized) ahead of the fold cursor in
-  // phase ② — the same O(workers × model) bound the old wave barrier
-  // enforced, without the barrier.
-  const std::size_t wave = std::max<std::size_t>(std::size_t{1}, pool().size());
-
   // A phase-② upload failure after a successful metadata phase: the
   // client's γ mass was already committed, so fold the unchanged global
   // weights in its place — the weighted average then carries γ_j of w_t
@@ -407,7 +398,6 @@ metrics::RoundRecord Server::run_round() {
     ClientUpdate synthetic = metadata[slot];  // the committed scalars
     synthetic.weights = global_weights_;
     record.upload_failures += 1;
-    engine.note_upload_failure(survivor_slots[slot]);
     return synthetic;
   };
 
@@ -428,12 +418,12 @@ metrics::RoundRecord Server::run_round() {
   };
 
   // Phase ② driver: stream survivors [first_slot, end) through the
-  // sharded engine into the strategy — training overlaps the serial
-  // ascending-order accumulate() calls instead of phase-barriering each
-  // wave, so the fold is independent of the worker count. Updates live
-  // in a ring of `wave` cells: the scheduler guarantees train(s + wave)
-  // cannot start before fold(s) freed its cell. Fresh per-slot counters
-  // avoid double-counting the phase-① tallies already in the record.
+  // WaveScheduler into the strategy — training overlaps the serial
+  // ascending-order accumulate() calls, so the fold is independent of
+  // the worker count. Updates live in a ring of `window` cells: the
+  // scheduler guarantees train(s + window) cannot start before fold(s)
+  // freed its cell. Fresh per-slot counters avoid double-counting the
+  // phase-① tallies already in the record.
   struct StreamSlot {
     std::optional<ClientUpdate> update;
     ParticipantOutcome counters;
@@ -442,11 +432,12 @@ metrics::RoundRecord Server::run_round() {
     const std::size_t n = metadata.size();
     if (first_slot >= n) return;
     // The span keeps the historical "local_update" name: training
-    // dominates the stream, and the serial folds it overlaps get their
-    // own agg.shard spans from the engine.
+    // dominates the stream.
     obs::Span span("local_update", "round.phase");
     span.arg("round", static_cast<double>(round_));
-    std::vector<StreamSlot> ring(std::min(wave, n - first_slot));
+    Stopwatch stream_watch;
+    double fold_seconds = 0.0;  // written by the serial fold side only
+    std::vector<StreamSlot> ring(std::min(window, n - first_slot));
     auto train = [&](std::size_t i) {
       StreamSlot& slot = ring[i % ring.size()];
       slot.counters = ParticipantOutcome{};
@@ -454,15 +445,20 @@ metrics::RoundRecord Server::run_round() {
       slot.update = exchange_report(i, slot.counters);
     };
     auto fold = [&](std::size_t i) {
+      Stopwatch fold_watch;
       StreamSlot& slot = ring[i % ring.size()];
       tally(record, slot.counters);
       strategy_->accumulate(slot.update.has_value() ? std::move(*slot.update)
                                                     : make_synthetic(i));
       slot.update.reset();
+      fold_seconds += fold_watch.seconds();
     };
-    engine.run_streaming(
-        first_slot, n, wave, train, fold,
-        [&](std::size_t i) { return survivor_slots[i]; }, endpoint_.remote());
+    WaveScheduler::run(pool(), first_slot, n, window, train, fold);
+    // Training and folding overlap, so their times cannot nest: wall
+    // time inside the folds is aggregation, the rest of the stream
+    // (training + uplink protocol) is local update.
+    record.phases.aggregate += fold_seconds;
+    record.phases.local_update += std::max(0.0, stream_watch.seconds() - fold_seconds);
   };
 
   if (!record.skipped) {
@@ -470,7 +466,7 @@ metrics::RoundRecord Server::run_round() {
     // metadata scalars, so detection and aggregation weights are decided
     // before any full update exists. A streaming strategy folds each
     // report into its accumulator and frees it — peak model memory stays
-    // O(wave × model); the others buffer the reports and aggregate them
+    // O(window × model); the others buffer the reports and aggregate them
     // at finish_aggregation() (AggregationStrategy's defaults).
     endpoint_.begin_phase();
 
@@ -552,20 +548,10 @@ metrics::RoundRecord Server::run_round() {
     }
   }
 
-  // Phase attribution for the overlapped stream: the serial fold side is
-  // aggregation time; everything the pipeline ran concurrently with it
-  // (training + uplink protocol) is local-update time. The two no longer
-  // nest — overlapping them was the point — so the split is wall time
-  // inside the fold callbacks vs. the remainder of the stream.
-  record.phases.aggregate += engine.fold_seconds();
-  record.phases.local_update +=
-      std::max(0.0, engine.stream_seconds() - engine.fold_seconds());
-
   if (!record.skipped && obs::enabled()) {
-    engine.publish_metrics();
     static obs::Gauge& peak_gauge = obs::registry().gauge("agg.peak_bytes");
     peak_gauge.set(aggregation_peak_bytes(*strategy_, global_weights_.size(),
-                                          metadata.size(), wave));
+                                          metadata.size(), window));
   }
 
   {

@@ -74,7 +74,7 @@ struct ServerConfig {
   /// in phase ①, upload failure in phase ②), so k silent workers cost at
   /// most one timeout per phase, not k. A worker whose connection dies
   /// is detected immediately via peer_closed(); this timeout only catches
-  /// workers that hang without disconnecting.
+  /// workers that hang without disconnecting. Must be finite and > 0.
   double remote_recv_timeout_s = 30.0;
   /// Lossy wire codec for model traffic (DESIGN.md §13). kNone keeps the
   /// dense f32 protocol. fp16/int8 quantize the broadcast once per round
@@ -96,12 +96,9 @@ struct ServerConfig {
   /// this process. Off leaves every probe behind a single relaxed
   /// atomic load — see DESIGN.md §9 for the overhead policy.
   bool telemetry = false;
-  /// Aggregation shards for the sharded round engine (DESIGN.md §15):
-  /// the sampled cohort is split into this many contiguous slices, each
-  /// streaming its wave of participants, chained into one fixed-order
-  /// reduction — results are bit-identical at every shard count. 0 =
-  /// auto (process default, normally 1; the FEDCAV_TEST_SHARDS hook
-  /// overrides it for whole-suite replays).
+  /// Retired shard count: a round folds its cohort in one pipeline
+  /// (DESIGN.md §15). Assignable so configs that name it keep
+  /// compiling; nothing reads it.
   std::size_t shards = 0;
   /// The only RNG mode, per-round derived seeds (see `seed`). Assignable
   /// so configs that name it keep compiling; nothing reads it.

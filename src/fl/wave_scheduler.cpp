@@ -10,33 +10,6 @@
 
 namespace fedcav::fl {
 
-ShardMap::ShardMap(std::size_t num_slots, std::size_t num_shards)
-    : num_slots_(num_slots) {
-  shards_ = std::clamp<std::size_t>(num_shards, 1,
-                                    std::max<std::size_t>(num_slots, 1));
-  base_ = num_slots_ / shards_;
-  extra_ = num_slots_ % shards_;
-}
-
-std::size_t ShardMap::begin(std::size_t shard) const {
-  FEDCAV_REQUIRE(shard < shards_, "ShardMap::begin: shard out of range");
-  return shard * base_ + std::min(shard, extra_);
-}
-
-std::size_t ShardMap::end(std::size_t shard) const {
-  FEDCAV_REQUIRE(shard < shards_, "ShardMap::end: shard out of range");
-  return (shard + 1) * base_ + std::min(shard + 1, extra_);
-}
-
-std::size_t ShardMap::shard_of(std::size_t slot) const {
-  FEDCAV_REQUIRE(slot < num_slots_, "ShardMap::shard_of: slot out of range");
-  // The first `extra_` shards own base_+1 slots each; invert the two
-  // arithmetic progressions.
-  const std::size_t wide = extra_ * (base_ + 1);
-  if (slot < wide) return slot / (base_ + 1);
-  return extra_ + (slot - wide) / base_;
-}
-
 namespace {
 
 /// Shared pipeline state; one instance per WaveScheduler::run call.

@@ -1,29 +1,20 @@
-// Event-driven per-wave scheduler for the sharded round engine.
+// Event-driven pipeline for a round's phase ② (DESIGN.md §15).
 //
-// Two pieces (DESIGN.md §15):
-//
-//   * ShardMap — the fixed ownership map: N slots (the round's sampled
-//     cohort, in sampler order) split into S contiguous, near-equal
-//     slices. Shard s owns [begin(s), end(s)); the first `N mod S`
-//     shards own one extra slot. Purely arithmetic, so every run — any
-//     thread count, any transport — derives the identical map.
-//
-//   * WaveScheduler::run — a bounded producer/consumer pipeline over
-//     slot indices. produce(i) calls may run concurrently on the pool
-//     in any order (each participant's work is independent: its own RNG
-//     streams, its own fabric links, a leased replica); consume(i) runs
-//     strictly serially in ascending slot order, on whichever thread
-//     finished the gating slot. At most `window` slots may be produced
-//     ahead of the consume cursor, which is what bounds the number of
-//     materialized model-sized updates in flight. This replaces the
-//     whole-cohort phase barrier: while slot i's update is being folded
-//     into the aggregation accumulator, slots i+1 … i+window-1 are
-//     already training.
+// WaveScheduler::run is a bounded producer/consumer pipeline over slot
+// indices. produce(i) calls may run concurrently on the pool in any
+// order (each participant's work is independent: its own RNG streams,
+// its own fabric links, a leased replica); consume(i) runs strictly
+// serially in ascending slot order, on whichever thread finished the
+// gating slot. At most `window` slots may be produced ahead of the
+// consume cursor, which is what bounds the number of materialized
+// model-sized updates in flight: while slot i's update is being folded
+// into the aggregation accumulator, slots i+1 … i+window-1 are already
+// training.
 //
 // The strict ascending consume order is the determinism contract's
 // second mode (DESIGN.md §13): the fold sequence a WaveScheduler drives
 // is bit-identical to a serial loop over the same slots, at any pool
-// size, any window ≥ 1, and any shard count.
+// size and any window ≥ 1.
 #pragma once
 
 #include <cstddef>
@@ -33,40 +24,16 @@
 
 namespace fedcav::fl {
 
-/// Contiguous near-equal split of [0, num_slots) into shards. A shard
-/// count larger than the slot count degrades gracefully: the map clamps
-/// to one slot per shard (trailing shards own empty ranges is never
-/// materialized — shards() reports the clamped count).
-class ShardMap {
- public:
-  ShardMap(std::size_t num_slots, std::size_t num_shards);
-
-  std::size_t num_slots() const { return num_slots_; }
-  /// Effective shard count (requested count clamped to [1, max(1, slots)]).
-  std::size_t shards() const { return shards_; }
-
-  std::size_t begin(std::size_t shard) const;
-  std::size_t end(std::size_t shard) const;
-  std::size_t size(std::size_t shard) const { return end(shard) - begin(shard); }
-  /// The owner of a slot (inverse of begin/end, O(1) arithmetic).
-  std::size_t shard_of(std::size_t slot) const;
-
- private:
-  std::size_t num_slots_ = 0;
-  std::size_t shards_ = 1;
-  std::size_t base_ = 0;   // slots every shard owns
-  std::size_t extra_ = 0;  // first `extra_` shards own base_ + 1
-};
-
 class WaveScheduler {
  public:
   /// Run the pipeline: produce(i) for every i in [first, n) concurrently
   /// (at most `window` ≥ 1 slots beyond the consume cursor), consume(i)
   /// serially in ascending i. Blocks until every slot is consumed. The
   /// first exception (in completion order) cancels outstanding work and
-  /// is rethrown. Called from inside one of `pool`'s workers (nested
-  /// parallelism), the pipeline degrades to a serial produce/consume
-  /// loop on the caller, like ThreadPool::parallel_for does.
+  /// is rethrown. With a window of 1, or called from inside one of
+  /// `pool`'s workers (nested parallelism), the pipeline is the serial
+  /// produce/consume loop on the caller, like ThreadPool::parallel_for
+  /// degrades to.
   static void run(ThreadPool& pool, std::size_t first, std::size_t n,
                   std::size_t window,
                   const std::function<void(std::size_t)>& produce,

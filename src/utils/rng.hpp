@@ -24,7 +24,7 @@ std::uint64_t splitmix64(std::uint64_t& state);
 /// from derive_seed(global_seed, round, stream_id, tag) at the moment it
 /// runs, so the stream it sees is a pure function of (seed, round, id)
 /// regardless of which process hosts it or which rounds it skipped.
-/// Remote, in-process, sharded, and resumed runs are bit-identical
+/// Remote, in-process, and resumed runs are bit-identical
 /// everywhere, including sampled/straggler configs (DESIGN.md §16).
 enum class RngMode : std::uint8_t {
   kDerived = 1,

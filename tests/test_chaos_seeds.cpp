@@ -84,36 +84,5 @@ TEST(ChaosSeeds, ResumeCarriesFabricStatsAcrossCheckpoint) {
   EXPECT_TRUE(result.triggered) << "plan no longer exercises any faults";
 }
 
-// Named guard for the sharded round engine (DESIGN.md §15): shards=4
-// over a 6-client cohort puts one or two slots in every shard while
-// drops, duplicates, corruption, a crash, quorum pressure and the
-// straggler filter reshuffle which slots each shard actually folds. The
-// oracle's shard_parity check replays the plan forced to shards=1 and
-// demands bit-identity (deterministic CSV + final weights) — any
-// partial-sum shortcut or per-shard fold reordering in the engine turns
-// this red; so does a per-shard accounting ledger that books a dropout
-// or straggler against the wrong shard (check_accounting throws, which
-// the oracle reports as an "exception" failure).
-TEST(ChaosSeeds, ShardedRoundSurvivesFaultsBitIdentically) {
-  set_log_level(LogLevel::kError);
-  const std::string path =
-      std::string(FEDCAV_CHAOS_SEED_DIR) + "/shard_fault_parity.plan";
-  const ChaosPlan plan = load_plan_file(path);
-  // The reproducer needs a multi-shard round with fault + quorum
-  // pressure — sanity-check the ingredients survived any future shrink.
-  ASSERT_GE(plan.shards, 2u);
-  ASSERT_GT(plan.faults.drop_prob, 0.0);
-  ASSERT_GT(plan.straggler_drop_prob, 0.0);
-  ASSERT_GE(plan.min_aggregate_clients, 2u);
-
-  OracleOptions options;
-  options.check_streaming_parity = false;  // isolate the shard-parity leg
-  const OracleResult result = run_oracle(plan, options);
-  EXPECT_TRUE(result.passed)
-      << "shard parity regressed: invariant=" << result.invariant
-      << " detail=" << result.detail;
-  EXPECT_TRUE(result.triggered) << "plan no longer exercises any faults";
-}
-
 }  // namespace
 }  // namespace fedcav::chaos

@@ -1,5 +1,4 @@
-// FEDCAV_TEST_THREADS / FEDCAV_TEST_SHARDS hooks, compiled into every
-// test binary.
+// FEDCAV_TEST_THREADS hook, compiled into every test binary.
 //
 // When FEDCAV_TEST_THREADS is set to N > 0, a global gtest Environment
 // attaches an N-worker kernel ThreadPool before any test runs
@@ -9,20 +8,12 @@
 // FEDCAV_TEST_THREADS=1 and =4; scripts/check.sh enforces both, and the
 // TSan configuration reuses the same hook to race-check the parallel
 // kernels.
-//
-// FEDCAV_TEST_SHARDS=S does the same for the sharded round engine
-// (DESIGN.md §15): it raises the process default shard count, so every
-// Server round in the suite — goldens and chaos seeds included — runs
-// S-sharded. The §15 contract says shard count is invisible to results,
-// so the whole suite must pass unchanged under =1 and =4; check.sh
-// replays the golden + chaos-seed suites under both.
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 
 #include <gtest/gtest.h>
 
-#include "src/fl/round_engine.hpp"
 #include "src/tensor/parallel.hpp"
 #include "src/utils/threadpool.hpp"
 
@@ -51,25 +42,8 @@ class KernelPoolEnvironment : public ::testing::Environment {
   std::unique_ptr<fedcav::ThreadPool> pool_;
 };
 
-class RoundShardsEnvironment : public ::testing::Environment {
- public:
-  void SetUp() override {
-    const char* value = std::getenv("FEDCAV_TEST_SHARDS");
-    if (value == nullptr) return;
-    const int shards = std::atoi(value);
-    if (shards <= 0) return;
-    fedcav::fl::set_default_round_shards(static_cast<std::size_t>(shards));
-    std::printf("[FEDCAV_TEST_SHARDS] round engine default: %d shard%s\n",
-                shards, shards == 1 ? "" : "s");
-  }
-
-  void TearDown() override { fedcav::fl::set_default_round_shards(0); }
-};
-
-// Registration happens at static-init time; gtest owns the Environments.
+// Registration happens at static-init time; gtest owns the Environment.
 const ::testing::Environment* const kKernelPoolEnvironment =
     ::testing::AddGlobalTestEnvironment(new KernelPoolEnvironment);
-const ::testing::Environment* const kRoundShardsEnvironment =
-    ::testing::AddGlobalTestEnvironment(new RoundShardsEnvironment);
 
 }  // namespace

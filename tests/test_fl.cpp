@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "src/fl/centralized.hpp"
 #include "src/fl/client.hpp"
@@ -420,6 +421,20 @@ TEST(Server, SampleRatioValidation) {
   EXPECT_THROW(build_simulation(config), Error);
   config.server.sample_ratio = 1.5;
   EXPECT_THROW(build_simulation(config), Error);
+}
+
+TEST(Server, RemoteRecvTimeoutMustBeFiniteAndPositive) {
+  // A negative or zero timeout gives up on every worker at once; NaN and
+  // inf never time out, so a silent worker would stall the daemon.
+  for (const double timeout : {-1.0, 0.0, std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()}) {
+    SimulationConfig config = tiny_config();
+    config.server.remote_recv_timeout_s = timeout;
+    EXPECT_THROW(build_simulation(config), Error) << "timeout " << timeout;
+  }
+  SimulationConfig config = tiny_config();
+  config.server.remote_recv_timeout_s = 0.5;
+  EXPECT_NO_THROW(build_simulation(config));
 }
 
 // --------------------------------------------------------- centralized

@@ -60,9 +60,13 @@ bool bits_equal(const nn::Weights& a, const nn::Weights& b) {
 }
 
 TEST(PropertyAgg, IncrementalMatchesOneShotBitwise) {
-  FEDCAV_PROPERTY("incremental == one-shot", 1000, [](Rng& rng) {
+  // Mostly small cohorts, plus cohorts that fill many pipeline windows.
+  const std::size_t kLargeCohorts[] = {31, 257};
+  FEDCAV_PROPERTY("incremental == one-shot", 1000, [&](Rng& rng) {
     const std::size_t dim = 1 + static_cast<std::size_t>(rng.uniform_int(std::uint64_t{24}));
-    const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform_int(std::uint64_t{6}));
+    const std::size_t n =
+        rng.bernoulli(0.1) ? kLargeCohorts[rng.uniform_int(std::uint64_t{2})]
+                           : 1 + static_cast<std::size_t>(rng.uniform_int(std::uint64_t{6}));
     const char* name = kStrategies[rng.uniform_int(std::uint64_t{5})];
     std::vector<float> global(dim);
     for (auto& v : global) v = rng.uniform_f(-1.0f, 1.0f);

@@ -19,7 +19,10 @@
 
 #include "src/comm/network.hpp"
 #include "src/fl/simulation.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/obs/trace.hpp"
 #include "src/utils/logging.hpp"
+#include "src/utils/threadpool.hpp"
 
 namespace fedcav {
 namespace {
@@ -255,6 +258,31 @@ TEST(ServerProtocol, MalformedPayloadWithValidCrcIsAStaleDiscard) {
   EXPECT_EQ(rec.retries, 0u);
   EXPECT_EQ(rec.participants, kClients);
   EXPECT_EQ(rec.upload_failures, 0u);
+}
+
+TEST(ServerProtocol, RemoteRoundPeakBytesCountOneUpdate) {
+  // A remote round folds one report at a time whatever the pool size, so
+  // fedcav's aggregation footprint is one f64 accumulator plus one f32
+  // update.
+  set_log_level(LogLevel::kError);
+  fl::SimulationConfig config = protocol_config();
+  config.strategy = "fedcav";
+  config.server.telemetry = true;
+  ThreadPool pool(2);
+  fl::Simulation sim = fl::build_simulation(config);
+  ScriptedWorkers net([](ScriptedWorkers& workers, std::size_t rank,
+                         const std::vector<comm::Envelope>& inbox) {
+    workers.honest(rank, inbox);
+  });
+  sim.server->set_thread_pool(&pool);
+  sim.server->set_transport(&net, /*remote=*/true);
+  obs::registry().reset();
+  const metrics::RoundRecord rec = sim.server->run_round();
+  const double peak = obs::registry().gauge("agg.peak_bytes").value();
+  obs::set_enabled(false);
+  ASSERT_GE(rec.participants, 2u);
+  const auto dim = static_cast<double>(sim.server->global_weights().size());
+  EXPECT_EQ(peak, dim * (sizeof(double) + sizeof(float)));
 }
 
 TEST(ServerProtocol, SilentWorkersCostOneDeadlinePerPhaseNotPerRank) {

@@ -1,22 +1,15 @@
-// Shard-determinism test layer for the sharded round engine
-// (DESIGN.md §15). Pins, in order of increasing integration:
-//   * ShardMap is an exact contiguous partition (near-equal slices,
-//     shard_of inverts begin/end, shard counts clamp to the cohort);
+// Round-pipeline test layer (DESIGN.md §15). Pins, in order of
+// increasing integration:
 //   * WaveScheduler consumes strictly in ascending order, produces at
 //     most `window` slots ahead, completes every slot exactly once, and
 //     propagates exceptions — at any pool size, including the nested
 //     serial fallback;
-//   * the shard-chained fold (accumulate shard slices in ascending
-//     shard order through ONE strategy accumulator) is bit-identical to
-//     one-shot aggregate() — weights AND γ vector — for all five
-//     strategies across shard counts {1,2,3,7,16} and cohorts
-//     {1,2,31,257}, including cohorts smaller than the shard count and
-//     the robust strategies' buffered fallback;
-//   * full Server rounds at shards ∈ {1,2,3,7,16} produce byte-identical
-//     weights, timing-free CSV, and RoundRecord fields — clean runs for
-//     every strategy, plus a faulty run (drops, duplicates, stragglers,
-//     quorum, deadline) where dropout/straggler/upload-failure ledgers
-//     must also shard-partition correctly.
+//   * full Server rounds on a 1-worker pool (window 1: the serial
+//     produce/fold loop) and on a 4-worker pool (the concurrent
+//     pipeline) produce byte-identical weights, timing-free CSV, and
+//     RoundRecord fields — clean runs for every strategy, plus a faulty
+//     run (drops, duplicates, stragglers, quorum, deadline);
+//   * a run is independent of its clients' RNG stream history (§16).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,9 +19,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "src/fl/round_engine.hpp"
 #include "src/fl/simulation.hpp"
-#include "src/fl/strategy.hpp"
 #include "src/fl/wave_scheduler.hpp"
 #include "src/utils/logging.hpp"
 #include "src/utils/threadpool.hpp"
@@ -39,53 +30,11 @@ namespace {
 
 const char* kStrategies[] = {"fedavg", "fedprox", "fedcav", "fedcav-noclip",
                              "median"};
-const std::size_t kShardCounts[] = {1, 2, 3, 7, 16};
-const std::size_t kCohorts[] = {1, 2, 31, 257};
 
 bool bits_equal(const nn::Weights& a, const nn::Weights& b) {
   return a.size() == b.size() &&
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
-}
-
-// ------------------------------------------------------------ ShardMap
-
-TEST(ShardMap, ExactContiguousPartition) {
-  FEDCAV_PROPERTY("shard map partitions exactly", 2000, [](Rng& rng) {
-    const auto slots = static_cast<std::size_t>(rng.uniform_int(std::uint64_t{400}));
-    const auto shards =
-        1 + static_cast<std::size_t>(rng.uniform_int(std::uint64_t{40}));
-    const fl::ShardMap map(slots, shards);
-
-    // Clamped to [1, max(1, slots)].
-    EXPECT_GE(map.shards(), std::size_t{1});
-    EXPECT_LE(map.shards(), std::max<std::size_t>(slots, 1));
-    if (shards <= std::max<std::size_t>(slots, 1)) {
-      EXPECT_EQ(map.shards(), shards);
-    }
-
-    // Contiguous cover with near-equal slices (sizes differ by <= 1 and
-    // never decrease... larger slices come first).
-    std::size_t cursor = 0;
-    const std::size_t base = slots / map.shards();
-    for (std::size_t s = 0; s < map.shards(); ++s) {
-      EXPECT_EQ(map.begin(s), cursor);
-      EXPECT_GE(map.size(s), base);
-      EXPECT_LE(map.size(s), base + 1);
-      if (s > 0) {
-        EXPECT_LE(map.size(s), map.size(s - 1));
-      }
-      cursor = map.end(s);
-    }
-    EXPECT_EQ(cursor, slots);
-
-    // shard_of inverts the ownership ranges.
-    for (std::size_t slot = 0; slot < slots; ++slot) {
-      const std::size_t s = map.shard_of(slot);
-      EXPECT_GE(slot, map.begin(s));
-      EXPECT_LT(slot, map.end(s));
-    }
-  });
 }
 
 // ------------------------------------------------------- WaveScheduler
@@ -166,63 +115,6 @@ TEST(WaveScheduler, ConsumeExceptionPropagates) {
                std::runtime_error);
 }
 
-// --------------------------------------- shard-chained fold == one-shot
-
-TEST(RoundEngineProperty, ShardChainedFoldMatchesOneShotBitwise) {
-  // The §15 reduction: ONE strategy accumulator, folded through the
-  // shards in ascending shard order (each shard's slice in ascending
-  // slot order). Exhaustive grid over strategies × shard counts ×
-  // cohorts, randomized update contents per case.
-  FEDCAV_PROPERTY("shard chain == one-shot", 8, [](Rng& rng) {
-    const std::size_t dim =
-        1 + static_cast<std::size_t>(rng.uniform_int(std::uint64_t{16}));
-    std::vector<float> global(dim);
-    for (auto& v : global) v = rng.uniform_f(-1.0f, 1.0f);
-
-    for (const char* name : kStrategies) {
-      for (const std::size_t cohort : kCohorts) {
-        std::vector<fl::ClientUpdate> updates;
-        updates.reserve(cohort);
-        for (std::size_t i = 0; i < cohort; ++i) {
-          fl::ClientUpdate u;
-          u.client_id = i;
-          u.num_samples =
-              1 + static_cast<std::size_t>(rng.uniform_int(std::uint64_t{200}));
-          u.inference_loss = rng.uniform(0.01, 10.0);
-          u.weights.resize(dim);
-          for (auto& w : u.weights) w = rng.uniform_f(-2.0f, 2.0f);
-          updates.push_back(std::move(u));
-        }
-        std::vector<fl::ClientUpdate> meta = updates;
-        for (auto& m : meta) m.weights.clear();
-
-        const auto reference = fl::make_strategy(name);
-        const nn::Weights direct = reference->aggregate(global, updates);
-        const std::vector<double> gamma_direct =
-            reference->aggregation_weights(updates);
-
-        for (const std::size_t shards : kShardCounts) {
-          const fl::ShardMap map(cohort, shards);
-          const auto chained = fl::make_strategy(name);
-          chained->begin_aggregation(global, meta);
-          for (std::size_t s = 0; s < map.shards(); ++s) {
-            for (std::size_t slot = map.begin(s); slot < map.end(s); ++slot) {
-              chained->accumulate(updates[slot]);
-            }
-          }
-          const nn::Weights sharded = chained->finish_aggregation();
-          EXPECT_TRUE(bits_equal(direct, sharded))
-              << name << " cohort=" << cohort << " shards=" << shards;
-          // γ is a pure function of the metadata scalars: identical
-          // doubles, not just close ones.
-          EXPECT_EQ(gamma_direct, chained->aggregation_weights(updates))
-              << name << " cohort=" << cohort << " shards=" << shards;
-        }
-      }
-    }
-  });
-}
-
 // --------------------------------------------- full-server bit-identity
 
 /// Every deterministic RoundRecord field, hex-exact floats included.
@@ -264,10 +156,11 @@ struct ServerRun {
   std::vector<std::string> records;
 };
 
-ServerRun run_with_shards(fl::SimulationConfig config, std::size_t shards,
-                          std::size_t rounds) {
-  config.server.shards = shards;
+/// Run `rounds` rounds on `pool` (nullptr = the process-wide pool).
+ServerRun run_rounds(const fl::SimulationConfig& config, std::size_t rounds,
+                     ThreadPool* pool = nullptr) {
   fl::Simulation sim = fl::build_simulation(config);
+  sim.server->set_thread_pool(pool);
   sim.server->run(rounds);
   ServerRun out;
   std::ostringstream csv;
@@ -292,25 +185,23 @@ void expect_identical(const ServerRun& base, const ServerRun& got,
   }
 }
 
-TEST(RoundEngineServer, EveryStrategyBitIdenticalAcrossShardCounts) {
+TEST(RoundEngineServer, EveryStrategyBitIdenticalAcrossPoolSizes) {
+  // One worker runs window 1, the serial produce/fold loop; four run the
+  // concurrent pipeline. The fold order is ascending either way.
   set_log_level(LogLevel::kError);
+  ThreadPool one(1), four(4);
   for (const char* strategy : kStrategies) {
-    const ServerRun base = run_with_shards(small_config(strategy), 1, 2);
-    for (const std::size_t shards : kShardCounts) {
-      if (shards == 1) continue;
-      const ServerRun got = run_with_shards(small_config(strategy), shards, 2);
-      expect_identical(base, got,
-                       std::string(strategy) + " shards=" +
-                           std::to_string(shards));
-    }
+    expect_identical(run_rounds(small_config(strategy), 2, &one),
+                     run_rounds(small_config(strategy), 2, &four),
+                     std::string(strategy) + " 1 vs 4 workers");
   }
 }
 
-TEST(RoundEngineServer, FaultyRunBitIdenticalAcrossShardCounts) {
+TEST(RoundEngineServer, FaultyRunBitIdenticalAcrossPoolSizes) {
   // Dropouts, stragglers, upload failures, retries, and a quorum skip
-  // all book into per-shard ledgers; the run must still be invisible to
-  // the shard count (and the per-shard accounting invariant inside
-  // run_round must hold, or this throws).
+  // reshuffle which slots fold; the run must still be invisible to the
+  // pool size (and the round accounting invariant inside run_round must
+  // hold, or this throws).
   set_log_level(LogLevel::kError);
   fl::SimulationConfig config = small_config("fedcav");
   config.server.network.faults.seed = 77;
@@ -323,29 +214,9 @@ TEST(RoundEngineServer, FaultyRunBitIdenticalAcrossShardCounts) {
   config.server.retry_backoff_s = 0.01;
   config.server.uplink_deadline_s = 5.0;
 
-  const ServerRun base = run_with_shards(config, 1, 3);
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{4},
-                                   std::size_t{16}}) {
-    const ServerRun got = run_with_shards(config, shards, 3);
-    expect_identical(base, got, "faulty shards=" + std::to_string(shards));
-  }
-}
-
-TEST(RoundEngineServer, DerivedSeedsBitIdenticalAcrossShardCounts) {
-  // Derived-seed mode (DESIGN.md §16) with sampling + stragglers — the
-  // configs the per-round derivation exists for — must stay invisible
-  // to the shard count like every other config.
-  set_log_level(LogLevel::kError);
-  fl::SimulationConfig config = small_config("fedcav");
-  config.server.rng_mode = RngMode::kDerived;
-  config.server.sample_ratio = 0.5;
-  config.server.straggler_drop_prob = 0.25;
-
-  const ServerRun base = run_with_shards(config, 1, 3);
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-    const ServerRun got = run_with_shards(config, shards, 3);
-    expect_identical(base, got, "derived shards=" + std::to_string(shards));
-  }
+  ThreadPool one(1), four(4);
+  expect_identical(run_rounds(config, 3, &one), run_rounds(config, 3, &four),
+                   "faulty 1 vs 4 workers");
 }
 
 TEST(RoundEngineServer, DerivedSeedsIgnoreClientStreamHistory) {
@@ -361,7 +232,7 @@ TEST(RoundEngineServer, DerivedSeedsIgnoreClientStreamHistory) {
   config.server.sample_ratio = 0.5;
   config.server.straggler_drop_prob = 0.25;
 
-  const ServerRun clean = run_with_shards(config, 1, 3);
+  const ServerRun clean = run_rounds(config, 3);
   fl::Simulation dirty = fl::build_simulation(config);
   for (std::size_t c = 0; c < dirty.server->num_clients(); ++c) {
     dirty.server->client_at(c).reseed_for_round(0xbadc0ffeeULL + c, 777);
@@ -373,17 +244,6 @@ TEST(RoundEngineServer, DerivedSeedsIgnoreClientStreamHistory) {
       << "derived-mode history depends on pre-run client RNG state";
   EXPECT_TRUE(bits_equal(dirty.server->global_weights(), clean.weights))
       << "derived-mode weights depend on pre-run client RNG state";
-}
-
-TEST(RoundEngineServer, AutoShardsFollowsProcessDefault) {
-  // ServerConfig::shards == 0 defers to the process default — the knob
-  // the FEDCAV_TEST_SHARDS Environment hook raises for suite replays.
-  set_log_level(LogLevel::kError);
-  const ServerRun base = run_with_shards(small_config("fedcav"), 1, 1);
-  fl::set_default_round_shards(4);
-  const ServerRun auto_run = run_with_shards(small_config("fedcav"), 0, 1);
-  fl::set_default_round_shards(0);
-  expect_identical(base, auto_run, "auto shards=4");
 }
 
 }  // namespace
