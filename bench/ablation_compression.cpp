@@ -1,14 +1,15 @@
-// Compression ablation: accuracy / uplink-byte tradeoff of top-k
-// sparsified client updates (comm extension, DESIGN.md §4) and of the
-// quantized wire codec (DESIGN.md §13). Runs FedCav on the σ=600 digits
-// workload at ratios {1.0, 0.5, 0.1, 0.05, 0.01}, then re-runs the
-// workload over the in-memory network with fp16 / int8 / int8+top-k
-// framing so the bytes/round column is measured on the wire (envelopes,
-// CRC, metadata reports included) rather than modeled.
+// Compression ablation: accuracy against uplink bytes for the quantized
+// wire codec (DESIGN.md §13). FedCav on the σ=600 digits workload, run
+// over the in-memory network once per row: fp32, fp16 at keep ratios
+// 1 down to 0.01, and int8 at keep 1 and 0.25. Bytes per round come from
+// RoundRecord, so they are measured on the wire (envelopes, CRC,
+// metadata reports and broadcasts included), not modeled. Exits nonzero
+// unless, within each codec, uplink bytes per round fall strictly as the
+// keep ratio falls.
 #include <cstdio>
+#include <iterator>
 
 #include "bench/bench_common.hpp"
-#include "src/fl/compressed.hpp"
 #include "src/utils/logging.hpp"
 
 int main(int argc, char** argv) {
@@ -16,7 +17,7 @@ int main(int argc, char** argv) {
   using namespace fedcav::bench;
 
   CliParser cli("ablation_compression",
-                "top-k update sparsification: accuracy vs uplink bytes");
+                "quantized top-k uplinks: accuracy vs bytes on the wire");
   add_scale_flags(cli);
   if (!cli.parse(argc, argv)) return 0;
   set_log_level(LogLevel::kWarn);
@@ -27,98 +28,57 @@ int main(int argc, char** argv) {
   std::printf("== Compression ablation: FedCav, digits, sigma=600, %zu clients, "
               "%zu rounds ==\n",
               scale.clients, scale.rounds);
-
-  MarkdownTable table({"keep_ratio", "converged_acc", "best_acc", "uplink_MB",
-                       "compression"});
-  for (double ratio : {1.0, 0.5, 0.1, 0.05, 0.01}) {
-    fl::SimulationConfig config = make_config(scale, "digits", "lenet5", "fedavg", seed);
-    config.partition.scheme = data::PartitionScheme::kNonIidImbalanced;
-    config.partition.sigma = 600.0;
-    config.server.use_network = false;  // byte model comes from the decorator
-    fl::Simulation sim = fl::build_simulation(config);
-
-    // Rebuild the server around a compression-decorated FedCav.
-    Rng rng(config.seed);
-    const nn::ModelBuilder builder = nn::model_builder(config.model);
-    std::vector<std::unique_ptr<fl::Client>> clients;
-    for (std::size_t k = 0; k < sim.partition.size(); ++k) {
-      (void)rng.fork();  // legacy model-init fork, kept for RNG-stream parity
-      clients.push_back(std::make_unique<fl::Client>(
-          k, sim.train.subset(sim.partition[k]), rng.fork()));
-    }
-    auto compressed =
-        std::make_unique<fl::CompressedStrategy>(fl::make_strategy("fedcav"), ratio);
-    fl::CompressedStrategy* handle = compressed.get();
-    Rng global_rng(config.seed ^ 0xabcdef12345ULL);
-    fl::Server server(builder(global_rng), std::move(compressed), std::move(clients),
-                      sim.test, config.server);
-    server.run(scale.rounds);
-
-    const double uplink_mb = static_cast<double>(handle->sparse_bytes()) / 1e6;
-    const double factor = handle->sparse_bytes() == 0
-                              ? 0.0
-                              : static_cast<double>(handle->dense_bytes()) /
-                                    static_cast<double>(handle->sparse_bytes());
-    table.add_row({format_double(ratio, 2),
-                   format_double(server.history().converged_accuracy(5), 4),
-                   format_double(server.history().best_accuracy(), 4),
-                   format_double(uplink_mb, 2), format_double(factor, 1) + "x"});
-    std::fflush(stdout);
-  }
-  std::printf("%s", table.render().c_str());
-  std::printf("\nReading: moderate sparsification (keep 10%%) retains most accuracy "
-              "for ~5x fewer uplink bytes; extreme ratios starve aggregation.\n");
-
-  // ---------------------------------------------------- quantized wire
-  // Same workload over the in-memory network: bytes/round is the sum of
-  // every frame both directions (model broadcasts, quantized reports,
-  // metadata, CRC envelopes) divided by the round count.
-  std::printf("\n== Quantized wire: FedCav, digits, sigma=600, %zu clients, "
-              "%zu rounds ==\n",
-              scale.clients, scale.rounds);
-  struct QuantCase {
-    const char* wire;
+  struct Row {
     comm::QuantMode mode;
     double keep;
   };
-  const QuantCase kQuantCases[] = {
-      {"fp32", comm::QuantMode::kNone, 1.0},
-      {"fp16", comm::QuantMode::kFp16, 1.0},
-      {"int8", comm::QuantMode::kInt8, 1.0},
-      {"int8+topk", comm::QuantMode::kInt8, 0.25},
+  const Row kRows[] = {
+      {comm::QuantMode::kNone, 1.0},  {comm::QuantMode::kFp16, 1.0},
+      {comm::QuantMode::kFp16, 0.5},  {comm::QuantMode::kFp16, 0.1},
+      {comm::QuantMode::kFp16, 0.05}, {comm::QuantMode::kFp16, 0.01},
+      {comm::QuantMode::kInt8, 1.0},  {comm::QuantMode::kInt8, 0.25},
   };
-  MarkdownTable qtable({"wire", "keep", "converged_acc", "best_acc",
-                        "bytes/round", "reduction"});
-  double fp32_bytes = 0.0;
-  for (const QuantCase& qc : kQuantCases) {
-    fl::SimulationConfig config =
-        make_config(scale, "digits", "lenet5", "fedcav", seed);
+  MarkdownTable table({"wire", "keep", "converged_acc", "best_acc", "uplink/round",
+                       "total/round", "uplink_reduction"});
+  double fp32_uplink = 0.0;
+  double previous_uplink = 0.0;
+  bool shrinks = true;
+  for (std::size_t r = 0; r < std::size(kRows); ++r) {
+    const Row& row = kRows[r];
+    fl::SimulationConfig config = make_config(scale, "digits", "lenet5", "fedcav", seed);
     config.partition.scheme = data::PartitionScheme::kNonIidImbalanced;
     config.partition.sigma = 600.0;
-    config.server.quant = qc.mode;
-    config.server.quant_keep = qc.keep;
+    config.server.quant = row.mode;
+    config.server.quant_keep = row.keep;
     fl::Simulation sim = fl::build_simulation(config);
     sim.server->run(scale.rounds);
 
-    std::uint64_t bytes = 0;
+    std::uint64_t up = 0;
+    std::uint64_t total = 0;
     for (const auto& rec : sim.server->history().records()) {
-      bytes += rec.bytes_down + rec.bytes_up;
+      up += rec.bytes_up;
+      total += rec.bytes_up + rec.bytes_down;
     }
-    const double per_round =
-        static_cast<double>(bytes) / static_cast<double>(scale.rounds);
-    if (qc.mode == comm::QuantMode::kNone) fp32_bytes = per_round;
-    const double reduction = per_round > 0.0 ? fp32_bytes / per_round : 0.0;
-    qtable.add_row(
-        {qc.wire, format_double(qc.keep, 2),
-         format_double(sim.server->history().converged_accuracy(5), 4),
-         format_double(sim.server->history().best_accuracy(), 4),
-         format_double(per_round / 1e3, 1) + " KB",
-         format_double(reduction, 1) + "x"});
-    std::fflush(stdout);
+    const double rounds = static_cast<double>(scale.rounds);
+    const double uplink = static_cast<double>(up) / rounds;
+    const std::string wire =
+        row.mode == comm::QuantMode::kNone ? "fp32" : comm::to_string(row.mode);
+    if (row.mode == comm::QuantMode::kNone) fp32_uplink = uplink;
+    if (r > 0 && kRows[r - 1].mode == row.mode && !(uplink < previous_uplink)) {
+      std::fprintf(stderr,
+                   "FAIL: %s uplink did not shrink from keep %.2f to %.2f "
+                   "(%.0f -> %.0f bytes/round)\n",
+                   wire.c_str(), kRows[r - 1].keep, row.keep, previous_uplink, uplink);
+      shrinks = false;
+    }
+    previous_uplink = uplink;
+    table.add_row({wire, format_double(row.keep, 2),
+                   format_double(sim.server->history().converged_accuracy(5), 4),
+                   format_double(sim.server->history().best_accuracy(), 4),
+                   format_double(uplink / 1e3, 1) + " KB",
+                   format_double(static_cast<double>(total) / rounds / 1e3, 1) + " KB",
+                   format_double(uplink > 0.0 ? fp32_uplink / uplink : 0.0, 1) + "x"});
   }
-  std::printf("%s", qtable.render().c_str());
-  std::printf("\nReading: dense int8 caps near 4x (scale/zero sidecars and "
-              "framing); composing int8 with a top-k bitmap on the uplink "
-              "clears it while error feedback holds accuracy.\n");
-  return 0;
+  std::printf("%s", table.render().c_str());
+  return shrinks ? 0 : 1;
 }

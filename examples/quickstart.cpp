@@ -38,7 +38,8 @@ int main(int argc, char** argv) {
   cli.add_int("max-retries", 3, "retransmissions per lost/corrupt message");
   cli.add_double("uplink-deadline", 0.0, "simulated-s budget per report (0 = off)");
   cli.add_string("quant", "none", "wire codec: none | fp16 | int8 (DESIGN.md §13)");
-  cli.add_double("quant-keep", 1.0, "top-k fraction of the uplink delta to keep (0, 1]");
+  cli.add_double("quant-keep", 1.0,
+                 "top-k fraction of the uplink delta to keep (0, 1]; below 1 needs --quant");
   cli.add_int("threads", 0, "intra-op kernel workers (0 = single-threaded kernels)");
   if (!cli.parse(argc, argv)) return 0;
 

@@ -54,6 +54,11 @@ done
 echo "==> cohort_scale smoke (plain)"
 timeout 300 "${repo}/build/bench/cohort_scale" --smoke \
   --out "${repo}/build/BENCH_cohort_smoke.json"
+# Compression ablation (DESIGN.md §13): within each wire codec, uplink
+# bytes per round, measured on the wire, must fall strictly as the top-k
+# keep ratio falls; the bench exits nonzero otherwise. Under a second.
+echo "==> ablation_compression --fast (plain)"
+timeout 300 "${repo}/build/bench/ablation_compression" --fast
 # Time-boxed chaos-search smoke (DESIGN.md §12): a short adaptive search
 # over the fault-plan space must find zero invariant violations. The
 # budget keeps this inside a few seconds; the full regression corpus is

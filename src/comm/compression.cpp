@@ -12,9 +12,9 @@ namespace fedcav::comm {
 
 namespace {
 
-/// The k largest-|v| coordinates of `dense`, ascending, with the same
-/// lower-index-wins tie-break topk_compress uses (cross-run determinism
-/// of the wire image).
+/// The k largest-|v| coordinates of `dense`, ascending. Lower index wins
+/// ties, so the selection (and the wire image) is deterministic; the
+/// comparator is a strict weak ordering only for non-NaN input.
 std::vector<std::uint32_t> topk_indices(std::span<const float> dense, std::size_t k) {
   std::vector<std::uint32_t> order(dense.size());
   std::iota(order.begin(), order.end(), 0u);
@@ -32,91 +32,15 @@ std::vector<std::uint32_t> topk_indices(std::span<const float> dense, std::size_
 
 }  // namespace
 
-std::size_t SparseDelta::wire_size() const {
-  return 8 /*dim*/ + 8 /*count*/ + indices.size() * (sizeof(std::uint32_t) + sizeof(float));
-}
-
-ByteBuffer SparseDelta::encode() const {
-  FEDCAV_REQUIRE(indices.size() == values.size(), "SparseDelta: index/value mismatch");
-  ByteBuffer buf;
-  buf.reserve(wire_size());
-  write_u64(buf, dim);
-  write_u64(buf, indices.size());
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    // u32 index then f32 value, little-endian.
-    for (int b = 0; b < 4; ++b) {
-      buf.push_back(static_cast<std::uint8_t>((indices[i] >> (8 * b)) & 0xff));
-    }
-    write_f32(buf, values[i]);
+bool all_finite(std::span<const float> values) {
+  constexpr std::uint32_t kExponent = 0x7f800000u;
+  std::uint32_t non_finite = 0;
+  for (const float v : values) {
+    non_finite |= static_cast<std::uint32_t>((std::bit_cast<std::uint32_t>(v) & kExponent) ==
+                                             kExponent);
   }
-  return buf;
+  return non_finite == 0;
 }
-
-SparseDelta SparseDelta::decode(ByteReader& reader) {
-  SparseDelta out;
-  out.dim = reader.read_u64();
-  const std::uint64_t count = reader.read_u64();
-  FEDCAV_REQUIRE(count <= out.dim, "SparseDelta: more entries than dimensions");
-  out.indices.resize(count);
-  out.values.resize(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint32_t idx = 0;
-    for (int b = 0; b < 4; ++b) {
-      idx |= static_cast<std::uint32_t>(reader.read_u8()) << (8 * b);
-    }
-    out.indices[i] = idx;
-    out.values[i] = reader.read_f32();
-    FEDCAV_REQUIRE(idx < out.dim, "SparseDelta: index out of range");
-  }
-  return out;
-}
-
-SparseDelta topk_compress(std::span<const float> dense, double ratio) {
-  FEDCAV_REQUIRE(ratio > 0.0 && ratio <= 1.0, "topk_compress: ratio must be in (0, 1]");
-  FEDCAV_REQUIRE(!dense.empty(), "topk_compress: empty input");
-  const std::size_t k = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(ratio * static_cast<double>(dense.size()))));
-
-  std::vector<std::uint32_t> order(dense.size());
-  std::iota(order.begin(), order.end(), 0u);
-  // Strict weak ordering with an index tie-break: equal-magnitude entries
-  // otherwise make the selected set implementation-defined (nth_element may
-  // keep either side of the pivot), which breaks cross-run determinism of
-  // the sparsified wire image. Lower index wins ties.
-  std::nth_element(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                   order.end(), [&](std::uint32_t a, std::uint32_t b) {
-                     const float ma = std::abs(dense[a]);
-                     const float mb = std::abs(dense[b]);
-                     if (ma != mb) return ma > mb;
-                     return a < b;
-                   });
-  order.resize(k);
-  std::sort(order.begin(), order.end());
-
-  SparseDelta out;
-  out.dim = dense.size();
-  out.indices = std::move(order);
-  out.values.reserve(k);
-  for (std::uint32_t idx : out.indices) out.values.push_back(dense[idx]);
-  return out;
-}
-
-std::vector<float> decompress(const SparseDelta& sparse) {
-  std::vector<float> dense(sparse.dim, 0.0f);
-  add_sparse(dense, sparse);
-  return dense;
-}
-
-void add_sparse(std::span<float> y, const SparseDelta& sparse) {
-  FEDCAV_REQUIRE(y.size() == sparse.dim, "add_sparse: dimension mismatch");
-  FEDCAV_REQUIRE(sparse.indices.size() == sparse.values.size(),
-                 "add_sparse: index/value mismatch");
-  for (std::size_t i = 0; i < sparse.indices.size(); ++i) {
-    y[sparse.indices[i]] += sparse.values[i];
-  }
-}
-
-// ---- Quantized wire format -----------------------------------------
 
 QuantMode quant_mode_from_string(const std::string& name) {
   if (name == "none") return QuantMode::kNone;
@@ -283,6 +207,10 @@ QuantizedDelta quantize(std::span<const float> dense, QuantMode mode,
   FEDCAV_REQUIRE(!dense.empty(), "quantize: empty input");
   FEDCAV_REQUIRE(keep_ratio > 0.0 && keep_ratio <= 1.0,
                  "quantize: keep_ratio must be in (0, 1]");
+  // One scan of the whole input, before selection: a NaN breaks the
+  // top-k comparator's ordering and slips past std::min/std::max, and
+  // fp16 would ship ±∞/NaN as codes.
+  FEDCAV_REQUIRE(all_finite(dense), "quantize: non-finite input");
   QuantizedDelta out;
   out.mode = mode;
   out.dim = dense.size();
@@ -333,9 +261,8 @@ QuantizedDelta quantize(std::span<const float> dense, QuantMode mode,
       mn = std::min(mn, values[i]);
       mx = std::max(mx, values[i]);
     }
-    FEDCAV_REQUIRE(std::isfinite(mn) && std::isfinite(mx),
-                   "quantize: non-finite input");
     const float scale = (mx - mn) / 255.0f;
+    FEDCAV_REQUIRE(std::isfinite(scale), "quantize: int8 block range overflows");
     out.scales[blk] = scale;
     out.zero_points[blk] = mn;
     if (scale <= 0.0f) {

@@ -1,9 +1,14 @@
-// Top-k sparsification of model updates (communication-efficiency
-// extension). A client sends only the k = ⌈ratio·dim⌉ largest-magnitude
-// coordinates of its weight *delta* w_i − w_t; the server reconstructs
-// w_t + scatter(values). This is the standard gradient-sparsification
-// construction; the ablation bench measures its accuracy/byte tradeoff
-// on the FedCav workload.
+// The lossy wire codec for model traffic (DESIGN.md §13). fp16 stores
+// IEEE 754 half-precision codes (round-to-nearest-even, 2 bytes/value);
+// int8 stores per-block affine codes v ≈ zero_point + scale·q with
+// q ∈ [0, 255] and one (scale, zero_point) pair per kQuantBlock
+// consecutive kept values (1 byte/value + 8 bytes/block). A keep_ratio
+// < 1 first keeps only the largest-|v| coordinates (ties go to the lower
+// index, so the wire image is deterministic) and records them in a
+// dim-bit presence bitmap, 1/8 byte per coordinate, which keeps
+// int8 + top-k under 1 byte/coordinate on the wire. The server codes
+// each round's broadcast densely, and each client codes its uplink delta
+// w_i − w̃_t with per-client error feedback; only the uplink uses top-k.
 #pragma once
 
 #include <cstdint>
@@ -15,40 +20,10 @@
 
 namespace fedcav::comm {
 
-struct SparseDelta {
-  std::uint64_t dim = 0;
-  std::vector<std::uint32_t> indices;  // sorted ascending
-  std::vector<float> values;
-
-  /// Exact wire size of encode()'s output.
-  std::size_t wire_size() const;
-
-  ByteBuffer encode() const;
-  static SparseDelta decode(ByteReader& reader);
-};
-
-/// Keep the ⌈ratio·dim⌉ largest-|v| coordinates of `dense`.
-/// ratio in (0, 1]; ratio = 1 keeps everything.
-SparseDelta topk_compress(std::span<const float> dense, double ratio);
-
-/// Dense reconstruction (zeros everywhere the delta is silent).
-std::vector<float> decompress(const SparseDelta& sparse);
-
-/// y += decompress(sparse) without materializing the dense vector.
-void add_sparse(std::span<float> y, const SparseDelta& sparse);
-
-// ---- Quantized wire format (PR 7) ----------------------------------
-//
-// Lossy scalar quantization of a dense float vector, optionally
-// composed with top-k selection. fp16 stores IEEE 754 half-precision
-// codes (round-to-nearest-even, 2 bytes/value); int8 stores per-block
-// affine codes v ≈ zero_point + scale·q with q ∈ [0, 255] and one
-// (scale, zero_point) pair per kQuantBlock consecutive kept values
-// (1 byte/value + 8 bytes/block). A keep_ratio < 1 selects the
-// largest-|v| coordinates first (same deterministic tie-break as
-// topk_compress) and records them in a dim-bit presence bitmap — 1/8
-// byte per coordinate instead of SparseDelta's 4-byte indices, which is
-// what keeps int8 + top-k under 1 byte/coordinate on the wire.
+/// True when no value is ±∞ or NaN. Branch-free over the exponent bits
+/// (all ones means non-finite), so it vectorizes; quantize and the
+/// server's uplink check share it.
+bool all_finite(std::span<const float> values);
 
 enum class QuantMode : std::uint8_t { kNone = 0, kFp16 = 1, kInt8 = 2 };
 
@@ -86,7 +61,7 @@ struct QuantizedDelta {
 
 /// Quantize `dense`, keeping the ⌈keep_ratio·dim⌉ largest-|v|
 /// coordinates (keep_ratio = 1 keeps everything and omits the bitmap).
-/// mode must not be kNone.
+/// mode must not be kNone; throws fedcav::Error on non-finite input.
 QuantizedDelta quantize(std::span<const float> dense, QuantMode mode,
                         double keep_ratio = 1.0);
 

@@ -1,6 +1,8 @@
 #include "src/fl/protocol.hpp"
 
+#include <cmath>
 #include <limits>
+#include <span>
 
 #include "src/fl/client.hpp"
 #include "src/fl/server.hpp"
@@ -62,6 +64,14 @@ Msg report_scalars(std::size_t round, std::size_t client_id, const ClientUpdate&
   msg.num_samples = update.num_samples;
   msg.inference_loss = update.inference_loss;
   return msg;
+}
+
+/// An uplink's values the server may use: a finite, non-negative
+/// inference loss and finite weights. A diverged or hostile client's
+/// NaN/∞ would otherwise reach γ, the §4.4 detector's reference and the
+/// global model.
+bool usable(double inference_loss, std::span<const float> weights = {}) {
+  return std::isfinite(inference_loss) && inference_loss >= 0.0 && comm::all_finite(weights);
 }
 
 /// Hand one CRC-clean envelope to `handle`: true once accepted. kStale,
@@ -244,8 +254,10 @@ ParticipantOutcome ServerEndpoint::exchange_metadata(
     if (env.type != MessageType::kMetadataReport) return Take::kStale;
     ByteReader reader(env.payload);
     const comm::MetadataMsg msg = comm::MetadataMsg::decode(reader);
-    // A rank speaks only for its own client.
-    if (msg.round != round_ || msg.client_id != client.id()) return Take::kStale;
+    // A rank speaks only for its own client, with usable values.
+    if (msg.round != round_ || msg.client_id != client.id() || !usable(msg.inference_loss)) {
+      return Take::kStale;
+    }
     meta = ClientUpdate{client.id(), {}, msg.inference_loss, msg.num_samples};
     return Take::kAccept;
   };
@@ -289,14 +301,16 @@ std::optional<ClientUpdate> ServerEndpoint::exchange_report(
       // dense weights and stays independent of the worker count.
       nn::Weights weights = *reference_;
       comm::dequantize_add(weights, msg.delta);  // throws on a wrong size
+      if (!usable(msg.inference_loss, weights)) return Take::kStale;
       report = ClientUpdate{client.id(), std::move(weights), msg.inference_loss,
                             msg.num_samples};
       return Take::kAccept;
     }
     comm::ClientReportMsg msg = comm::ClientReportMsg::decode(reader);
-    // Never aggregated under another client's identity or model size.
+    // Never aggregated under another client's identity or model size,
+    // or with unusable values.
     if (msg.round != round_ || msg.client_id != client.id() ||
-        msg.weights.size() != reference_->size()) {
+        msg.weights.size() != reference_->size() || !usable(msg.inference_loss, msg.weights)) {
       return Take::kStale;
     }
     report = ClientUpdate{client.id(), std::move(msg.weights), msg.inference_loss,

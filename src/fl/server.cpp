@@ -86,6 +86,8 @@ void ServerConfig::validate(std::size_t num_clients) const {
                  "ServerConfig: remote_recv_timeout_s must be finite and > 0");
   FEDCAV_REQUIRE(quant_keep > 0.0 && quant_keep <= 1.0,
                  "ServerConfig: quant_keep must be in (0, 1]");
+  FEDCAV_REQUIRE(quant_keep == 1.0 || quant != comm::QuantMode::kNone,
+                 "ServerConfig: quant_keep < 1 needs a quant codec (fp16 or int8)");
 }
 
 Server::Server(std::unique_ptr<nn::Model> global_model,
@@ -149,11 +151,6 @@ void Server::set_global_weights(nn::Weights weights) {
   global_model_->set_weights(global_weights_);
 }
 
-double Server::evaluate_accuracy() {
-  global_model_->set_weights(global_weights_);
-  return metrics::accuracy(*global_model_, test_set_, config_.eval_batch_size);
-}
-
 void Server::redistribute_data(std::vector<data::Dataset> per_client) {
   FEDCAV_REQUIRE(per_client.size() == clients_.size(),
                  "Server::redistribute_data: dataset count mismatch");
@@ -173,10 +170,6 @@ void Server::ensure_replica_pool() {
   if (replica_pool_ == nullptr || replica_pool_->max_replicas() != max_replicas) {
     replica_pool_ = std::make_unique<nn::ReplicaPool>(*global_model_, max_replicas);
   }
-}
-
-void Server::set_lr_schedule(std::unique_ptr<nn::LrSchedule> schedule) {
-  lr_schedule_ = std::move(schedule);
 }
 
 void Server::save_checkpoint(const std::string& path) const {
@@ -252,7 +245,6 @@ void Server::write_telemetry(const std::string& trace_path,
 
 metrics::RoundRecord Server::run_round() {
   ++round_;
-  if (lr_schedule_ != nullptr) effective_local_.lr = lr_schedule_->lr(round_);
   comm::Transport* const transport = endpoint_.transport();
   if (transport != nullptr) transport->begin_round(round_);
   ensure_replica_pool();

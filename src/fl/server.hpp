@@ -18,7 +18,6 @@
 #include "src/fl/sampler.hpp"
 #include "src/fl/strategy.hpp"
 #include "src/nn/replica_pool.hpp"
-#include "src/nn/schedule.hpp"
 #include "src/metrics/history.hpp"
 #include "src/utils/error.hpp"
 #include "src/utils/threadpool.hpp"
@@ -88,20 +87,20 @@ struct ServerConfig {
   comm::QuantMode quant = comm::QuantMode::kNone;
   /// Uplink top-k composition: quantize only this fraction of the
   /// delta's largest-|v| coordinates (bitmap-coded presence, see
-  /// compression.hpp). 1 keeps every coordinate. Ignored when quant is
-  /// kNone; the downlink is always dense (a sparse broadcast would
-  /// silently zero most of the model).
+  /// compression.hpp). 1 keeps every coordinate; below 1 requires a
+  /// codec (validate rejects it with quant kNone). The downlink is always
+  /// dense (a sparse broadcast would silently zero most of the model).
   double quant_keep = 1.0;
   /// Turn on the obs subsystem (span tracing + metrics registry) for
   /// this process. Off leaves every probe behind a single relaxed
   /// atomic load — see DESIGN.md §9 for the overhead policy.
   bool telemetry = false;
   /// Retired shard count: a round folds its cohort in one pipeline
-  /// (DESIGN.md §15). Assignable so configs that name it keep
-  /// compiling; nothing reads it.
+  /// (DESIGN.md §15). Nothing reads it; kept only for the frozen
+  /// fedbench/ (DESIGN.md §17).
   std::size_t shards = 0;
-  /// The only RNG mode, per-round derived seeds (see `seed`). Assignable
-  /// so configs that name it keep compiling; nothing reads it.
+  /// The only RNG mode, per-round derived seeds (see `seed`). Nothing
+  /// reads it; kept only for the frozen fedbench/ (DESIGN.md §17).
   RngMode rng_mode = RngMode::kDerived;
 
   void validate(std::size_t num_clients) const;
@@ -136,15 +135,8 @@ class Server {
   const nn::Weights& global_weights() const { return global_weights_; }
   void set_global_weights(nn::Weights weights);
 
-  /// Accuracy of the current global model on the held-out test set.
-  double evaluate_accuracy();
-
   /// Replace every client's dataset (fresh-class experiment phase 2).
   void redistribute_data(std::vector<data::Dataset> per_client);
-
-  /// Attach a learning-rate schedule: before each round the local lr is
-  /// set to schedule->lr(round). nullptr restores the fixed configured η.
-  void set_lr_schedule(std::unique_ptr<nn::LrSchedule> schedule);
 
   /// Run rounds on `pool` instead of the process-wide pool (non-owning;
   /// nullptr restores the global pool). The chaos determinism suite uses
@@ -246,7 +238,6 @@ class Server {
 
   std::shared_ptr<attack::Adversary> adversary_;
   std::set<std::size_t> attack_rounds_;
-  std::unique_ptr<nn::LrSchedule> lr_schedule_;
   ThreadPool* pool_ = nullptr;  // non-owning override, see set_thread_pool
   /// Bounded pool of model replicas leased to participants; sized to the
   /// thread pool (+1 for the inline caller), so a round's model memory

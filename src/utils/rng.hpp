@@ -26,6 +26,7 @@ std::uint64_t splitmix64(std::uint64_t& state);
 /// regardless of which process hosts it or which rounds it skipped.
 /// Remote, in-process, and resumed runs are bit-identical
 /// everywhere, including sampled/straggler configs (DESIGN.md §16).
+/// Kept only for the frozen fedbench/ (DESIGN.md §17).
 enum class RngMode : std::uint8_t {
   kDerived = 1,
 };

@@ -187,22 +187,21 @@ TEST(Envelope, TruncatedWireNeverReachesMessageDecode) {
 }
 
 TEST(Envelope, CompressedPayloadIsCrcProtectedToo) {
-  // Sparsified updates ride the same framing: a corrupted compressed
-  // payload must be rejected by the CRC, never handed to SparseDelta
-  // decode (whose length fields would otherwise be attacker-controlled).
+  // Quantized top-k updates ride the same framing: a corrupted payload
+  // must be rejected by the CRC, never handed to QuantizedDelta decode
+  // (whose length fields would otherwise be attacker-controlled).
   std::vector<float> dense(64, 0.0f);
   dense[3] = 5.0f;
   dense[41] = -2.0f;
-  const SparseDelta delta = topk_compress(dense, 0.1);
-  ByteBuffer wire = Envelope{MessageType::kClientReport, delta.encode()}.encode();
+  const QuantizedDelta delta = quantize(dense, QuantMode::kInt8, 0.1);
+  ByteBuffer wire = Envelope{MessageType::kQuantReport, delta.encode()}.encode();
   {
     const Envelope back = Envelope::decode(wire);
     ByteReader reader(back.payload);
-    const SparseDelta got = SparseDelta::decode(reader);
-    EXPECT_EQ(got.indices, delta.indices);
-    EXPECT_EQ(got.values, delta.values);
+    const QuantizedDelta got = QuantizedDelta::decode(reader);
+    EXPECT_EQ(got.encode(), delta.encode());
   }
-  wire[10] ^= 0x01;  // flip a bit inside the length-bearing header
+  wire[10] ^= 0x01;  // flip a bit inside the delta's dim field
   EXPECT_FALSE(Envelope::try_decode(wire).has_value());
 }
 

@@ -1,19 +1,15 @@
-// Tests for the extension modules: participant samplers, LR schedules,
-// dropout, checkpointing, top-k compression, per-class tracking, and
-// config files.
+// Tests for the extension modules: participant samplers, the wire
+// codec's top-k tie-break, checkpointing, and config files.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <numeric>
 #include <set>
 
 #include "src/comm/compression.hpp"
-#include "src/fl/compressed.hpp"
 #include "src/fl/sampler.hpp"
 #include "src/fl/simulation.hpp"
-#include "src/metrics/per_class.hpp"
-#include "src/nn/dropout.hpp"
-#include "src/nn/schedule.hpp"
 #include "src/utils/config.hpp"
 #include "src/utils/error.hpp"
 #include "src/utils/logging.hpp"
@@ -90,292 +86,43 @@ TEST(Sampler, ValidatesConstruction) {
   EXPECT_THROW(fl::ParticipantSampler(fl::SamplerPolicy::kUniform, 5, 1.5, 1), Error);
 }
 
-// ------------------------------------------------------------- schedule
-
-TEST(Schedule, ConstantIsFlat) {
-  nn::ConstantLr schedule(0.05f);
-  EXPECT_FLOAT_EQ(schedule.lr(1), 0.05f);
-  EXPECT_FLOAT_EQ(schedule.lr(100), 0.05f);
-}
-
-TEST(Schedule, StepDecayHalvesEveryStep) {
-  nn::StepDecayLr schedule(0.1f, 5, 0.5f);
-  EXPECT_FLOAT_EQ(schedule.lr(1), 0.1f);
-  EXPECT_FLOAT_EQ(schedule.lr(5), 0.1f);
-  EXPECT_FLOAT_EQ(schedule.lr(6), 0.05f);
-  EXPECT_FLOAT_EQ(schedule.lr(11), 0.025f);
-}
-
-TEST(Schedule, CosineInterpolatesBaseToFloor) {
-  nn::CosineLr schedule(0.1f, 0.01f, 11);
-  EXPECT_FLOAT_EQ(schedule.lr(1), 0.1f);
-  EXPECT_NEAR(schedule.lr(6), (0.1f + 0.01f) / 2.0f, 1e-6f);  // midpoint
-  EXPECT_FLOAT_EQ(schedule.lr(11), 0.01f);
-  EXPECT_FLOAT_EQ(schedule.lr(50), 0.01f);  // flat after horizon
-}
-
-TEST(Schedule, MonotoneNonIncreasing) {
-  for (const char* name : {"constant", "step", "cosine"}) {
-    const auto schedule = nn::make_schedule(name, 0.1f, 30);
-    float previous = schedule->lr(1);
-    for (std::size_t r = 2; r <= 30; ++r) {
-      const float current = schedule->lr(r);
-      EXPECT_LE(current, previous + 1e-7f) << name << " round " << r;
-      previous = current;
-    }
-  }
-}
-
-TEST(Schedule, FactoryRejectsUnknown) {
-  EXPECT_THROW(nn::make_schedule("exponential", 0.1f, 10), Error);
-}
-
-TEST(Schedule, ValidatesParameters) {
-  EXPECT_THROW(nn::ConstantLr(0.0f), Error);
-  EXPECT_THROW(nn::StepDecayLr(0.1f, 0, 0.5f), Error);
-  EXPECT_THROW(nn::CosineLr(0.1f, 0.2f, 10), Error);
-}
-
-// -------------------------------------------------------------- dropout
-
-TEST(Dropout, EvalModeIsIdentity) {
-  nn::Dropout layer(0.5f);
-  Rng rng(1);
-  Tensor input = Tensor::uniform(Shape::of(4, 8), rng, -1.0f, 1.0f);
-  Tensor out = layer.forward(input, /*training=*/false);
-  for (std::size_t i = 0; i < input.numel(); ++i) EXPECT_FLOAT_EQ(out[i], input[i]);
-}
-
-TEST(Dropout, TrainingDropsRoughlyPFraction) {
-  nn::Dropout layer(0.3f);
-  Tensor input(Shape::of(100, 100), 1.0f);
-  Tensor out = layer.forward(input, /*training=*/true);
-  std::size_t zeros = 0;
-  for (std::size_t i = 0; i < out.numel(); ++i) {
-    if (out[i] == 0.0f) ++zeros;
-  }
-  const double fraction = static_cast<double>(zeros) / static_cast<double>(out.numel());
-  EXPECT_NEAR(fraction, 0.3, 0.02);
-}
-
-TEST(Dropout, SurvivorsAreScaledUp) {
-  nn::Dropout layer(0.5f);
-  Tensor input(Shape::of(10, 10), 1.0f);
-  Tensor out = layer.forward(input, /*training=*/true);
-  for (std::size_t i = 0; i < out.numel(); ++i) {
-    EXPECT_TRUE(out[i] == 0.0f || out[i] == 2.0f);
-  }
-}
-
-TEST(Dropout, BackwardRoutesThroughSameMask) {
-  nn::Dropout layer(0.5f);
-  Tensor input(Shape::of(8, 8), 1.0f);
-  Tensor out = layer.forward(input, /*training=*/true);
-  Tensor grad(out.shape(), 1.0f);
-  Tensor dx = layer.backward(grad);
-  for (std::size_t i = 0; i < out.numel(); ++i) {
-    EXPECT_FLOAT_EQ(dx[i], out[i]);  // same mask, same scaling
-  }
-}
-
-TEST(Dropout, ZeroProbabilityIsPassThrough) {
-  nn::Dropout layer(0.0f);
-  Rng rng(2);
-  Tensor input = Tensor::uniform(Shape::of(3, 3), rng, -1.0f, 1.0f);
-  Tensor out = layer.forward(input, /*training=*/true);
-  for (std::size_t i = 0; i < input.numel(); ++i) EXPECT_FLOAT_EQ(out[i], input[i]);
-}
-
-TEST(Dropout, RejectsInvalidProbability) {
-  EXPECT_THROW(nn::Dropout(1.0f), Error);
-  EXPECT_THROW(nn::Dropout(-0.1f), Error);
-}
-
 // ---------------------------------------------------------- compression
 
-TEST(Compression, TopKKeepsLargestMagnitudes) {
-  const std::vector<float> dense = {0.1f, -5.0f, 0.2f, 3.0f, -0.05f};
-  const comm::SparseDelta sparse = comm::topk_compress(dense, 0.4);  // k = 2
-  ASSERT_EQ(sparse.indices.size(), 2u);
-  EXPECT_EQ(sparse.indices[0], 1u);
-  EXPECT_EQ(sparse.indices[1], 3u);
-  EXPECT_FLOAT_EQ(sparse.values[0], -5.0f);
-  EXPECT_FLOAT_EQ(sparse.values[1], 3.0f);
-}
-
-TEST(Compression, RatioOneIsLossless) {
-  Rng rng(3);
-  std::vector<float> dense(100);
-  for (auto& v : dense) v = rng.uniform_f(-1.0f, 1.0f);
-  const comm::SparseDelta sparse = comm::topk_compress(dense, 1.0);
-  EXPECT_EQ(comm::decompress(sparse), dense);
-}
-
-TEST(Compression, DecompressZeroFillsDropped) {
-  const std::vector<float> dense = {1.0f, 10.0f, 2.0f};
-  const comm::SparseDelta sparse = comm::topk_compress(dense, 0.34);  // k = 2
-  const std::vector<float> back = comm::decompress(sparse);
-  EXPECT_FLOAT_EQ(back[0], 0.0f);
-  EXPECT_FLOAT_EQ(back[1], 10.0f);
-  EXPECT_FLOAT_EQ(back[2], 2.0f);
-}
-
-TEST(Compression, EncodeDecodeRoundTrip) {
-  Rng rng(4);
-  std::vector<float> dense(500);
-  for (auto& v : dense) v = rng.uniform_f(-2.0f, 2.0f);
-  const comm::SparseDelta sparse = comm::topk_compress(dense, 0.1);
-  const ByteBuffer wire = sparse.encode();
-  EXPECT_EQ(wire.size(), sparse.wire_size());
-  ByteReader reader(wire);
-  const comm::SparseDelta back = comm::SparseDelta::decode(reader);
-  EXPECT_EQ(back.dim, sparse.dim);
-  EXPECT_EQ(back.indices, sparse.indices);
-  EXPECT_EQ(back.values, sparse.values);
+/// The coordinates quantize's presence bitmap keeps, ascending.
+std::vector<std::uint32_t> kept_indices(const comm::QuantizedDelta& q) {
+  std::vector<std::uint32_t> kept;
+  for (std::uint32_t i = 0; i < q.dim; ++i) {
+    if ((q.mask[i / 8] >> (i % 8)) & 1u) kept.push_back(i);
+  }
+  return kept;
 }
 
 TEST(Compression, DuplicateMagnitudesSelectDeterministically) {
-  // Every entry ties in |value|: the k survivors must be the k lowest
-  // indices (the documented tie-break), and the selection must be
-  // identical across repeated calls and input copies. Without the
-  // tie-break, nth_element's pivot choices make the kept set
-  // implementation-defined, which desynchronizes the sparsified wire
-  // image between otherwise deterministic runs.
+  // Every entry ties in |value|: quantize's top-k survivors must be the
+  // k lowest indices (the documented tie-break) under either codec, and
+  // the wire image must be identical across repeated calls and input
+  // copies. Without the tie-break, nth_element's pivot choices make the
+  // kept set implementation-defined, which desynchronizes the quantized
+  // wire image between otherwise deterministic runs.
   std::vector<float> dense(64);
   for (std::size_t i = 0; i < dense.size(); ++i) {
     dense[i] = (i % 2 == 0) ? 0.5f : -0.5f;  // equal magnitude, mixed sign
   }
-  const comm::SparseDelta first = comm::topk_compress(dense, 0.25);  // k = 16
-  ASSERT_EQ(first.indices.size(), 16u);
-  for (std::size_t i = 0; i < first.indices.size(); ++i) {
-    EXPECT_EQ(first.indices[i], static_cast<std::uint32_t>(i));
+  std::vector<std::uint32_t> lowest(16);
+  std::iota(lowest.begin(), lowest.end(), 0u);
+  for (const comm::QuantMode mode : {comm::QuantMode::kFp16, comm::QuantMode::kInt8}) {
+    const comm::QuantizedDelta first = comm::quantize(dense, mode, 0.25);  // k = 16
+    EXPECT_EQ(kept_indices(first), lowest) << comm::to_string(mode);
+    const std::vector<float> copy = dense;
+    EXPECT_EQ(comm::quantize(copy, mode, 0.25).encode(), first.encode());
+
+    // Ties straddling the k-boundary: with [3, 1, 1, 1] and k = 2 the
+    // kept set must be {0, 1}; the tied 1.0s resolve by index.
+    const std::vector<float> boundary = {3.0f, 1.0f, 1.0f, 1.0f};
+    EXPECT_EQ(kept_indices(comm::quantize(boundary, mode, 0.5)),
+              (std::vector<std::uint32_t>{0, 1}))
+        << comm::to_string(mode);
   }
-  const std::vector<float> copy = dense;
-  const comm::SparseDelta second = comm::topk_compress(copy, 0.25);
-  EXPECT_EQ(first.indices, second.indices);
-  EXPECT_EQ(first.values, second.values);
-
-  // Ties straddling the k-boundary: with [3, 1, 1, 1] and k = 2 the
-  // kept set must be {0, 1} — the tied 1.0s resolve by index.
-  const std::vector<float> boundary = {3.0f, 1.0f, 1.0f, 1.0f};
-  const comm::SparseDelta picked = comm::topk_compress(boundary, 0.5);
-  ASSERT_EQ(picked.indices.size(), 2u);
-  EXPECT_EQ(picked.indices[0], 0u);
-  EXPECT_EQ(picked.indices[1], 1u);
-}
-
-TEST(Compression, WireSizeBeatsDenseForSmallRatios) {
-  std::vector<float> dense(10000, 1.0f);
-  const comm::SparseDelta sparse = comm::topk_compress(dense, 0.1);
-  EXPECT_LT(sparse.wire_size(), dense.size() * sizeof(float) / 2);
-}
-
-TEST(Compression, AddSparseAccumulates) {
-  std::vector<float> y = {1.0f, 1.0f, 1.0f};
-  comm::SparseDelta sparse;
-  sparse.dim = 3;
-  sparse.indices = {0, 2};
-  sparse.values = {0.5f, -1.0f};
-  comm::add_sparse(y, sparse);
-  EXPECT_FLOAT_EQ(y[0], 1.5f);
-  EXPECT_FLOAT_EQ(y[1], 1.0f);
-  EXPECT_FLOAT_EQ(y[2], 0.0f);
-}
-
-TEST(Compression, ValidatesInput) {
-  std::vector<float> dense = {1.0f};
-  EXPECT_THROW(comm::topk_compress(dense, 0.0), Error);
-  EXPECT_THROW(comm::topk_compress(dense, 1.5), Error);
-  EXPECT_THROW(comm::topk_compress(std::vector<float>{}, 0.5), Error);
-  comm::SparseDelta bad;
-  bad.dim = 2;
-  bad.indices = {0};
-  bad.values = {1.0f};
-  std::vector<float> wrong(3, 0.0f);
-  EXPECT_THROW(comm::add_sparse(wrong, bad), Error);
-}
-
-TEST(CompressedStrategy, RatioOneMatchesInnerExactly) {
-  auto plain = fl::make_strategy("fedcav");
-  fl::CompressedStrategy lossless(fl::make_strategy("fedcav"), 1.0);
-  std::vector<fl::ClientUpdate> updates(3);
-  Rng rng(5);
-  nn::Weights global(50);
-  for (auto& g : global) g = rng.uniform_f(-1.0f, 1.0f);
-  for (std::size_t i = 0; i < 3; ++i) {
-    updates[i].client_id = i;
-    updates[i].inference_loss = rng.uniform(0.5, 2.0);
-    updates[i].num_samples = 10;
-    updates[i].weights.resize(50);
-    for (auto& w : updates[i].weights) w = rng.uniform_f(-1.0f, 1.0f);
-  }
-  const nn::Weights a = plain->aggregate(global, updates);
-  const nn::Weights b = lossless.aggregate(global, updates);
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-6f);
-  EXPECT_GT(lossless.sparse_bytes(), 0u);
-  EXPECT_EQ(lossless.dense_bytes(), 3u * 50 * sizeof(float));
-}
-
-TEST(CompressedStrategy, SmallRatioStillAggregatesSanely) {
-  fl::CompressedStrategy lossy(fl::make_strategy("fedavg"), 0.05);
-  std::vector<fl::ClientUpdate> updates(2);
-  nn::Weights global(100, 1.0f);
-  for (std::size_t i = 0; i < 2; ++i) {
-    updates[i].client_id = i;
-    updates[i].num_samples = 10;
-    updates[i].inference_loss = 1.0;
-    updates[i].weights.assign(100, 1.0f);
-    updates[i].weights[7] = 5.0f;  // one big delta coordinate
-  }
-  const nn::Weights out = lossy.aggregate(global, updates);
-  EXPECT_FLOAT_EQ(out[7], 5.0f);   // the top-k coordinate survives
-  EXPECT_FLOAT_EQ(out[0], 1.0f);   // dropped deltas reconstruct to global
-  EXPECT_LT(lossy.sparse_bytes(), lossy.dense_bytes() / 2);
-}
-
-TEST(CompressedStrategy, ValidatesRatio) {
-  EXPECT_THROW(fl::CompressedStrategy(fl::make_strategy("fedavg"), 0.0), Error);
-  EXPECT_THROW(fl::CompressedStrategy(nullptr, 0.5), Error);
-}
-
-// ------------------------------------------------------------ per-class
-
-TEST(PerClassTracker, TracksRecallPerRound) {
-  set_log_level(LogLevel::kError);
-  fl::SimulationConfig config;
-  config.dataset = "digits";
-  config.model = "mlp";
-  config.strategy = "fedcav";
-  config.train_samples_per_class = 15;
-  config.test_samples_per_class = 10;
-  config.partition.num_clients = 6;
-  config.server.local.lr = 0.05f;
-  fl::Simulation sim = fl::build_simulation(config);
-
-  Rng rng(config.seed ^ 0xabcdef12345ULL);
-  auto probe = nn::model_builder("mlp")(rng);
-  metrics::PerClassTracker tracker(10);
-  for (int r = 0; r < 3; ++r) {
-    sim.server->run_round();
-    probe->set_weights(sim.server->global_weights());
-    tracker.record(*probe, sim.test);
-  }
-  EXPECT_EQ(tracker.rounds(), 3u);
-  // Recalls are valid probabilities.
-  for (std::size_t c = 0; c < 10; ++c) {
-    EXPECT_GE(tracker.recall(2, c), 0.0);
-    EXPECT_LE(tracker.recall(2, c), 1.0);
-  }
-  const std::vector<std::size_t> group = {0, 1, 2};
-  EXPECT_GE(tracker.group_recall(2, group), 0.0);
-  EXPECT_LE(tracker.rounds_to_group_recall(group, 2.0), 3u);  // impossible target
-}
-
-TEST(PerClassTracker, ValidatesArguments) {
-  EXPECT_THROW(metrics::PerClassTracker(0), Error);
-  metrics::PerClassTracker tracker(5);
-  EXPECT_THROW(tracker.recall(0, 0), Error);
-  EXPECT_THROW(tracker.group_recall(0, {}), Error);
 }
 
 // ---------------------------------------------------------- checkpoints
@@ -426,7 +173,7 @@ TEST(Checkpoint, RejectsCorruptFiles) {
 
 // --------------------------------------------------------------- server
 
-TEST(ServerExtensions, LrScheduleAndSamplerPolicyRun) {
+TEST(ServerExtensions, LossBiasedSamplerPolicyRuns) {
   set_log_level(LogLevel::kError);
   fl::SimulationConfig config;
   config.dataset = "digits";
@@ -436,7 +183,6 @@ TEST(ServerExtensions, LrScheduleAndSamplerPolicyRun) {
   config.partition.num_clients = 6;
   config.server.sampler = fl::SamplerPolicy::kLossBiased;
   fl::Simulation sim = fl::build_simulation(config);
-  sim.server->set_lr_schedule(nn::make_schedule("cosine", 0.05f, 6));
   sim.server->run(3);
   EXPECT_EQ(sim.server->history().rounds(), 3u);
 }

@@ -423,6 +423,18 @@ TEST(Server, SampleRatioValidation) {
   EXPECT_THROW(build_simulation(config), Error);
 }
 
+TEST(Server, QuantKeepBelowOneNeedsACodec) {
+  // quant_keep sparsifies only through the quant codec; without one, a
+  // run that asked for top-k would silently ship dense uplinks.
+  SimulationConfig config = tiny_config();
+  config.server.quant_keep = 0.25;
+  EXPECT_THROW(build_simulation(config), Error);
+  for (const comm::QuantMode mode : {comm::QuantMode::kFp16, comm::QuantMode::kInt8}) {
+    config.server.quant = mode;
+    EXPECT_NO_THROW(build_simulation(config)) << comm::to_string(mode);
+  }
+}
+
 TEST(Server, RemoteRecvTimeoutMustBeFiniteAndPositive) {
   // A negative or zero timeout gives up on every worker at once; NaN and
   // inf never time out, so a silent worker would stall the daemon.

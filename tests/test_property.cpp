@@ -13,7 +13,6 @@
 #include "src/data/partition.hpp"
 #include "src/data/stats.hpp"
 #include "src/data/synthetic.hpp"
-#include "src/comm/compression.hpp"
 #include "src/fl/fedavg.hpp"
 #include "src/fl/robust.hpp"
 #include "src/nn/activation.hpp"
@@ -402,51 +401,6 @@ TEST_P(RobustProperty, KrumAvoidsFarOutlier) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RobustProperty, ::testing::Values(4, 9, 25, 49, 81));
-
-// ---------------------------------------------------- compression props
-
-class CompressionProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(CompressionProperty, ReconstructionErrorShrinksWithRatio) {
-  Rng rng(GetParam());
-  std::vector<float> dense(200);
-  for (auto& v : dense) v = rng.uniform_f(-2.0f, 2.0f);
-  auto error_at = [&](double ratio) {
-    const auto back = comm::decompress(comm::topk_compress(dense, ratio));
-    double err = 0.0;
-    for (std::size_t i = 0; i < dense.size(); ++i) {
-      const double d = static_cast<double>(dense[i]) - static_cast<double>(back[i]);
-      err += d * d;
-    }
-    return err;
-  };
-  const double coarse = error_at(0.05);
-  const double medium = error_at(0.3);
-  const double fine = error_at(0.9);
-  EXPECT_GE(coarse, medium - 1e-9);
-  EXPECT_GE(medium, fine - 1e-9);
-  EXPECT_NEAR(error_at(1.0), 0.0, 1e-12);
-}
-
-TEST_P(CompressionProperty, TopKErrorIsOptimalAmongSameSizeSupports) {
-  // The kept coordinates have magnitude >= every dropped coordinate, so
-  // no other k-support can achieve lower L2 reconstruction error.
-  Rng rng(GetParam());
-  std::vector<float> dense(60);
-  for (auto& v : dense) v = rng.uniform_f(-3.0f, 3.0f);
-  const auto sparse = comm::topk_compress(dense, 0.25);
-  std::vector<bool> kept(dense.size(), false);
-  for (auto idx : sparse.indices) kept[idx] = true;
-  float min_kept = 1e30f;
-  float max_dropped = 0.0f;
-  for (std::size_t i = 0; i < dense.size(); ++i) {
-    if (kept[i]) min_kept = std::min(min_kept, std::abs(dense[i]));
-    else max_dropped = std::max(max_dropped, std::abs(dense[i]));
-  }
-  EXPECT_GE(min_kept, max_dropped - 1e-6f);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CompressionProperty, ::testing::Values(6, 12, 24, 48));
 
 }  // namespace
 }  // namespace fedcav

@@ -5,14 +5,16 @@
 //     aggregate() for every strategy and every random cohort;
 //   * aggregation weights form a convex combination and are invariant
 //     to uniform sample-count scaling;
-//   * top-k compression round-trips, ties break deterministically to
-//     the lowest index, and add_sparse matches dense reconstruction;
+//   * quantize's top-k keeps exactly the reference selection, ties
+//     breaking to the lowest index, under fp16 and int8, and the coded
+//     delta round-trips the wire;
 //   * InMemoryNetwork::save_state/load_state round-trips in-flight
 //     traffic AND the traffic/fault accounting (the checkpoint-v4
 //     regression surface).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -24,8 +26,6 @@
 
 namespace fedcav {
 namespace {
-
-using proptest::gen_floats;
 
 const char* kStrategies[] = {"fedavg", "fedprox", "fedcav", "fedcav-noclip",
                              "median"};
@@ -111,17 +111,18 @@ TEST(PropertyAgg, AggregationWeightsAreConvexAndScaleInvariant) {
 }
 
 TEST(PropertyAgg, TopKRoundTripAndDeterministicTieBreak) {
-  FEDCAV_PROPERTY("top-k compress", 1000, [](Rng& rng) {
+  FEDCAV_PROPERTY("quantized top-k", 1000, [](Rng& rng) {
     const std::size_t dim = 1 + static_cast<std::size_t>(rng.uniform_int(std::uint64_t{63}));
     // Draw magnitudes from a tiny value set so ties are the common
-    // case, not a corner case.
+    // case, not a corner case. Every value is exact in fp16.
     std::vector<float> dense(dim);
     const float mags[] = {0.0f, 0.25f, 0.25f, 1.0f, 2.0f};
     for (auto& v : dense) {
       v = mags[rng.uniform_int(std::uint64_t{5})] * (rng.bernoulli(0.5) ? 1.0f : -1.0f);
     }
     const double ratio = rng.uniform(0.01, 1.0);
-    const comm::SparseDelta sparse = comm::topk_compress(dense, ratio);
+    const auto k = std::max<std::size_t>(
+        1, static_cast<std::size_t>(std::ceil(ratio * static_cast<double>(dim))));
 
     // Reference selection: stable order by (|v| desc, index asc).
     std::vector<std::uint32_t> order(dim);
@@ -132,36 +133,34 @@ TEST(PropertyAgg, TopKRoundTripAndDeterministicTieBreak) {
       if (ma != mb) return ma > mb;
       return a < b;
     });
-    order.resize(sparse.indices.size());
+    order.resize(k);
     std::sort(order.begin(), order.end());
-    ASSERT_EQ(sparse.indices, order) << "tie-break must pick the lowest index";
 
-    for (std::size_t i = 0; i < sparse.indices.size(); ++i) {
-      EXPECT_EQ(sparse.values[i], dense[sparse.indices[i]]);
+    for (const comm::QuantMode mode : {comm::QuantMode::kFp16, comm::QuantMode::kInt8}) {
+      const comm::QuantizedDelta q = comm::quantize(dense, mode, ratio);
+      // Dropped coordinates reconstruct to zero; fp16 reproduces the
+      // kept ones exactly.
+      const std::vector<float> out = comm::dequantize(q);
+      std::vector<std::uint32_t> kept;
+      for (std::uint32_t i = 0; i < dim; ++i) {
+        if (!q.mask.empty() && ((q.mask[i / 8] >> (i % 8)) & 1u) == 0) {
+          EXPECT_EQ(out[i], 0.0f);
+          continue;
+        }
+        kept.push_back(i);
+        if (mode == comm::QuantMode::kFp16) {
+          EXPECT_EQ(out[i], dense[i]);
+        }
+      }
+      ASSERT_EQ(kept, order) << "tie-break must pick the lowest index ("
+                             << comm::to_string(mode) << ")";
+
+      // Wire round-trip at the exact size.
+      const ByteBuffer wire = q.encode();
+      EXPECT_EQ(wire.size(), q.wire_size());
+      ByteReader reader(wire);
+      EXPECT_EQ(comm::QuantizedDelta::decode(reader).encode(), wire);
     }
-
-    // Wire round-trip, exact size, and dense/add_sparse agreement.
-    const ByteBuffer wire = sparse.encode();
-    EXPECT_EQ(wire.size(), sparse.wire_size());
-    ByteReader reader(wire);
-    const comm::SparseDelta decoded = comm::SparseDelta::decode(reader);
-    EXPECT_EQ(decoded.dim, sparse.dim);
-    EXPECT_EQ(decoded.indices, sparse.indices);
-    EXPECT_EQ(decoded.values, sparse.values);
-
-    const std::vector<float> dense_out = comm::decompress(sparse);
-    std::vector<float> accum(dim, 0.0f);
-    comm::add_sparse(accum, sparse);
-    EXPECT_EQ(dense_out, accum);
-    if (ratio == 1.0) EXPECT_EQ(dense_out, dense);
-  });
-}
-
-TEST(PropertyAgg, FullRatioCompressionIsLossless) {
-  FEDCAV_PROPERTY("ratio-1 lossless", 1000, [](Rng& rng) {
-    std::vector<float> dense = gen_floats(rng, 48);
-    if (dense.empty()) dense.push_back(rng.uniform_f(-1.0f, 1.0f));
-    EXPECT_EQ(comm::decompress(comm::topk_compress(dense, 1.0)), dense);
   });
 }
 

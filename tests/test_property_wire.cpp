@@ -264,6 +264,33 @@ TEST(PropertyWire, QuantizeTopKDropsOnlySmallestAndKeepsExactBudget) {
   });
 }
 
+TEST(PropertyWire, QuantizeRejectsNonFiniteInputAnywhere) {
+  // std::min/std::max skip NaN, so a per-block range check sees only a
+  // block's first value; fp16 would ship ±∞/NaN as codes; and a NaN
+  // breaks the strict weak ordering the top-k selection needs.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> dense(300, 0.5f);
+  dense[1] = nan;
+  EXPECT_THROW(comm::quantize(dense, comm::QuantMode::kInt8, 1.0), Error);
+  EXPECT_THROW(comm::quantize(dense, comm::QuantMode::kFp16, 1.0), Error);
+  EXPECT_THROW(comm::quantize(dense, comm::QuantMode::kFp16, 0.25), Error);
+  dense[1] = 0.5f;
+  dense[0] = inf;
+  EXPECT_THROW(comm::quantize(dense, comm::QuantMode::kFp16, 1.0), Error);
+  // Finite, but the block's range overflows float: no finite int8 scale.
+  EXPECT_THROW(comm::quantize(std::vector<float>{-3e38f, 3e38f}, comm::QuantMode::kInt8), Error);
+
+  FEDCAV_PROPERTY("quantize rejects non-finite input", 300, [&](Rng& rng) {
+    std::vector<float> values = gen_floats(rng, 600);
+    if (values.empty()) return;
+    const float bad[] = {nan, inf, -inf};
+    values[rng.uniform_int(values.size())] = bad[rng.uniform_int(std::uint64_t{3})];
+    const double keep = rng.bernoulli(0.5) ? 1.0 : rng.uniform(0.05, 1.0);
+    EXPECT_THROW(comm::quantize(values, gen_quant_mode(rng), keep), Error);
+  });
+}
+
 TEST(PropertyWire, QuantizedDeltaBitFlipDecodesSafely) {
   FEDCAV_PROPERTY("quantized delta bit-flip fuzz", 1000, [](Rng& rng) {
     std::vector<float> dense(1 + rng.uniform_int(std::uint64_t{128}));

@@ -10,8 +10,11 @@
 // uplink the NACK names.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <set>
 #include <thread>
@@ -157,14 +160,22 @@ class ScriptedWorkers final : public comm::Transport {
   comm::GlobalModelMsg last_down_;
 };
 
-/// Run one round of a fresh server against `script`.
+/// Run one round of a fresh server against `script`; `global`, if set,
+/// receives the model the round ends with.
 metrics::RoundRecord run_scripted(const Script& script,
-                                  fl::SimulationConfig config = protocol_config()) {
+                                  fl::SimulationConfig config = protocol_config(),
+                                  nn::Weights* global = nullptr) {
   set_log_level(LogLevel::kError);
   fl::Simulation sim = fl::build_simulation(config);
   ScriptedWorkers net(script);
   sim.server->set_transport(&net, /*remote=*/true);
-  return sim.server->run_round();
+  const metrics::RoundRecord rec = sim.server->run_round();
+  if (global != nullptr) *global = sim.server->global_weights();
+  return rec;
+}
+
+bool every_weight_finite(const nn::Weights& weights) {
+  return std::all_of(weights.begin(), weights.end(), [](float w) { return std::isfinite(w); });
 }
 
 /// Every rank is honest, but rank 1 first runs `extra` on its `tick`-th
@@ -329,6 +340,48 @@ TEST(ServerProtocol, DenseReportOfTheWrongSizeIsAStaleDiscard) {
   EXPECT_EQ(rec.stale_discards, 1u);
   EXPECT_EQ(rec.participants, kClients);
   EXPECT_EQ(rec.upload_failures, 0u);
+}
+
+// Uplink values: a loss that is non-finite or negative, or a report
+// weight that is non-finite, is a stale discard. It never reaches γ, the
+// §4.4 detector's reference or the global model.
+
+TEST(ServerProtocol, MetadataWithUnusableLossIsAStaleDiscard) {
+  // Under FedCav a +∞ loss alone made γ NaN and every global weight
+  // non-finite. Rank 1 sends each bad loss first, then its honest
+  // metadata; every scripted worker's honest loss is 1.
+  for (const double loss : {std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    nn::Weights global;
+    const metrics::RoundRecord rec =
+        run_scripted(rank1_extra_on_tick(1,
+                                         [loss](ScriptedWorkers& net) {
+                                           net.send_metadata(1, 1, /*client_id=*/0, loss);
+                                         }),
+                     protocol_config(), &global);
+    EXPECT_EQ(rec.stale_discards, 1u) << "loss " << loss;
+    EXPECT_EQ(rec.participants, kClients) << "loss " << loss;
+    EXPECT_EQ(rec.mean_inference_loss, 1.0) << "loss " << loss;
+    EXPECT_TRUE(every_weight_finite(global)) << "loss " << loss;
+  }
+}
+
+TEST(ServerProtocol, DenseReportWithNonFiniteWeightIsAStaleDiscard) {
+  fl::SimulationConfig config = protocol_config();
+  config.strategy = "fedavg";
+  nn::Weights global;
+  const metrics::RoundRecord rec = run_scripted(
+      rank1_extra_on_tick(2,
+                          [](ScriptedWorkers& net) {
+                            std::vector<float> weights = net.last_downlink().weights;
+                            weights[weights.size() / 2] = std::numeric_limits<float>::quiet_NaN();
+                            net.send_report(1, 1, /*client_id=*/0, std::move(weights));
+                          }),
+      config, &global);
+  EXPECT_EQ(rec.stale_discards, 1u);
+  EXPECT_EQ(rec.participants, kClients);
+  EXPECT_EQ(rec.upload_failures, 0u);
+  EXPECT_TRUE(every_weight_finite(global));
 }
 
 }  // namespace

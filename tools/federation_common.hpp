@@ -40,11 +40,13 @@ inline void add_federation_flags(CliParser& cli) {
   cli.add_int("test-per-class", 10, "test samples per class");
   cli.add_int("quorum", 1, "min surviving updates to aggregate");
   cli.add_string("quant", "none", "wire codec: none | fp16 | int8");
-  cli.add_double("quant-keep", 1.0, "top-k fraction of the uplink delta (0, 1]");
+  cli.add_double("quant-keep", 1.0,
+                 "top-k fraction of the uplink delta (0, 1]; below 1 needs --quant");
   cli.add_double("recv-timeout", 30.0,
                  "daemon: seconds each collect phase waits on silent live workers");
   cli.add_double("straggler", 0.0,
                  "per-round probability a sampled client straggles out");
+  // Kept only for the frozen fedbench/ (DESIGN.md §17).
   cli.add_flag("derived-seeds",
                "accepted for compatibility: per-round derived RNG streams "
                "(DESIGN.md §16) are the only mode");
