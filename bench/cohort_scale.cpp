@@ -7,10 +7,12 @@
 // For each cohort size it builds a full-participation simulation on a
 // tiny model (the per-class sample count grows with the cohort so every
 // client owns at least one sample), runs one warm-up round plus one
-// measured round, and records:
+// measured round over the metered in-memory fabric, and records:
 //   * peak live tensor bytes over the measured round (FEDCAV_ALLOC_STATS
 //     high-water mark, reset at round start),
-//   * wall time for the round and per-participant time,
+//   * wall time for the round and per-participant time, and the round's
+//     phase split (metadata, local_update, aggregate, eval),
+//   * the uplink and downlink bytes the fabric metered,
 //   * replicas actually materialized by the pool,
 //   * the obs gauges the round exports (pool.occupancy, agg.peak_bytes),
 //   * a digest of the run's deterministic outputs (timing-free round
@@ -25,6 +27,9 @@
 //            within 4x of the smallest (rounds scale ~linearly);
 //   quant  — the int8 + top-k codec must stay streaming: its peak bytes
 //            within 1.5x of the dense round at the same cohort size;
+//   bytes  — every dense row meters the same nonzero bytes per
+//            participant, each way, and the int8 top-k(0.25) uplink
+//            stays under a quarter of the dense one per participant;
 //   repro  — in --smoke, the first cohort runs twice with the same seed
 //            and the deterministic fields must match exactly (this is
 //            what pins the --seed flag: results are a function of it).
@@ -57,6 +62,9 @@ struct CohortResult {
   std::uint64_t peak_live_bytes = 0;
   double round_ms = 0.0;
   double per_client_ms = 0.0;
+  metrics::RoundPhases phases;  // seconds
+  std::uint64_t bytes_up = 0;
+  std::uint64_t bytes_down = 0;
   std::size_t pool_replicas = 0;
   std::size_t pool_max = 0;
   double gauge_pool_occupancy = 0.0;
@@ -94,7 +102,6 @@ CohortResult run_cohort(std::size_t clients, std::size_t workers,
   config.server.sample_ratio = 1.0;  // whole cohort participates
   config.server.local.epochs = 1;
   config.server.local.batch_size = 4;
-  config.server.use_network = false;
   config.server.telemetry = true;  // export pool.occupancy / agg.peak_bytes
   if (quant_uplink) {
     // Quantized uplink (DESIGN.md §13): the int8 + top-k codec and its
@@ -144,6 +151,9 @@ CohortResult run_cohort(std::size_t clients, std::size_t workers,
   r.peak_live_bytes = Tensor::alloc_stats().peak_live_bytes;
   r.round_ms = round_ms;
   r.per_client_ms = round_ms / static_cast<double>(clients);
+  r.phases = rec.phases;
+  r.bytes_up = rec.bytes_up;
+  r.bytes_down = rec.bytes_down;
   if (const nn::ReplicaPool* rp = sim.server->replica_pool()) {
     r.pool_replicas = rp->created();
     r.pool_max = rp->max_replicas();
@@ -165,11 +175,16 @@ bool bits_equal(const nn::Weights& a, const nn::Weights& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
+double ms(double seconds) { return seconds * 1000.0; }
+
 void print_row(const CohortResult& r, const char* quant) {
-  std::printf("%8zu %13zu %14.3f %10.1f %14.3f %6zu/%zu %7s\n", r.clients,
-              r.participants,
-              static_cast<double>(r.peak_live_bytes) / (1024.0 * 1024.0),
-              r.round_ms, r.per_client_ms, r.pool_replicas, r.pool_max, quant);
+  std::printf("%8zu %13zu %9.3f %10.1f %9.3f %6zu/%zu %5s %12llu %12llu %9.1f %9.1f %9.1f %7.1f\n",
+              r.clients, r.participants,
+              static_cast<double>(r.peak_live_bytes) / (1024.0 * 1024.0), r.round_ms,
+              r.per_client_ms, r.pool_replicas, r.pool_max, quant,
+              static_cast<unsigned long long>(r.bytes_up),
+              static_cast<unsigned long long>(r.bytes_down), ms(r.phases.metadata),
+              ms(r.phases.local_update), ms(r.phases.aggregate), ms(r.phases.eval));
 }
 
 }  // namespace
@@ -212,8 +227,9 @@ int main(int argc, char** argv) {
 
   std::printf("cohort_scale: seed=%llu%s\n", static_cast<unsigned long long>(seed),
               smoke ? " (smoke)" : "");
-  std::printf("%8s %13s %14s %10s %14s %9s %7s\n", "clients", "participants",
-              "peak MiB", "round ms", "per-client ms", "replicas", "quant");
+  std::printf("%8s %13s %9s %10s %9s %9s %5s %12s %12s %9s %9s %9s %7s\n", "clients",
+              "participants", "peak MiB", "round ms", "client ms", "replicas", "quant",
+              "bytes up", "bytes down", "meta ms", "local ms", "agg ms", "eval ms");
   std::vector<CohortResult> results;
   for (std::size_t clients : cohorts) {
     CohortResult r = run_cohort(clients, workers, seed);
@@ -243,6 +259,11 @@ int main(int argc, char** argv) {
          << ", \"seed\": " << seed
          << ", \"peak_live_bytes\": " << r.peak_live_bytes
          << ", \"round_ms\": " << r.round_ms << ", \"per_client_ms\": " << r.per_client_ms
+         << ", \"metadata_ms\": " << ms(r.phases.metadata)
+         << ", \"local_update_ms\": " << ms(r.phases.local_update)
+         << ", \"aggregate_ms\": " << ms(r.phases.aggregate)
+         << ", \"eval_ms\": " << ms(r.phases.eval) << ", \"bytes_up\": " << r.bytes_up
+         << ", \"bytes_down\": " << r.bytes_down
          << ", \"pool_replicas\": " << r.pool_replicas << ", \"pool_max\": " << r.pool_max
          << ", \"pool_occupancy\": " << r.gauge_pool_occupancy
          << ", \"agg_peak_bytes\": " << r.gauge_agg_peak_bytes
@@ -325,6 +346,38 @@ int main(int argc, char** argv) {
     }
   } else {
     std::printf("built without FEDCAV_ALLOC_STATS: memory gates skipped\n");
+  }
+  // Metering gate: the round runs over the fabric, so it meters every
+  // byte. Each dense participant moves the same model each way, so every
+  // dense row meters the same nonzero bytes per participant; the int8
+  // top-k(0.25) uplink must stay under a quarter of the dense one.
+  const std::uint64_t dense_up = small.bytes_up / small.participants;
+  const std::uint64_t dense_down = small.bytes_down / small.participants;
+  std::printf("dense bytes per participant: %llu up, %llu down\n",
+              static_cast<unsigned long long>(dense_up),
+              static_cast<unsigned long long>(dense_down));
+  for (const CohortResult& r : results) {
+    if (dense_up == 0 || dense_down == 0 || r.bytes_up != dense_up * r.participants ||
+        r.bytes_down != dense_down * r.participants) {
+      std::fprintf(stderr,
+                   "FAIL: %zu-client round metered %llu up / %llu down for %zu "
+                   "participants, not %llu / %llu each\n",
+                   r.clients, static_cast<unsigned long long>(r.bytes_up),
+                   static_cast<unsigned long long>(r.bytes_down), r.participants,
+                   static_cast<unsigned long long>(dense_up),
+                   static_cast<unsigned long long>(dense_down));
+      ok = false;
+    }
+  }
+  const double quant_up = static_cast<double>(quant_r.bytes_up) /
+                          static_cast<double>(quant_r.participants);
+  std::printf("int8 uplink per participant: %.0f bytes (gate < %.0f)\n", quant_up,
+              static_cast<double>(dense_up) / 4.0);
+  if (!(quant_up > 0.0 && quant_up < static_cast<double>(dense_up) / 4.0)) {
+    std::fprintf(stderr, "FAIL: int8 top-k uplink metered %.0f bytes per participant, "
+                 "not under a quarter of the dense %llu\n",
+                 quant_up, static_cast<unsigned long long>(dense_up));
+    ok = false;
   }
   // Time gate: per-participant cost must not degrade super-linearly.
   const double time_ratio = large.per_client_ms / small.per_client_ms;

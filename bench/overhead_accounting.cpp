@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
   for (const char* strategy : strategies) {
     fl::SimulationConfig config = make_config(scale, "digits", "lenet5", strategy, seed);
     config.partition.scheme = data::PartitionScheme::kNonIidImbalanced;
-    config.server.use_network = true;
     fl::Simulation sim = fl::build_simulation(config);
     const metrics::RoundRecord rec = sim.server->run_round();
     const std::size_t per_client_up = rec.bytes_up / rec.participants;

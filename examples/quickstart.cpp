@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
   }
   std::printf("best accuracy: %.4f\n", sim.server->history().best_accuracy());
 
-  if (faults.enabled() && sim.server->network() != nullptr) {
+  if (faults.enabled()) {
     const comm::FaultStats f = sim.server->network()->fault_stats();
     std::uint64_t retries = 0;
     std::uint64_t crc_failures = 0;

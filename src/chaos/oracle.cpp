@@ -91,9 +91,8 @@ bool record_triggered(const metrics::RoundRecord& rec) {
          rec.deadline_misses > 0 || rec.skipped;
 }
 
-bool stats_triggered(const comm::InMemoryNetwork* net) {
-  if (net == nullptr) return false;
-  const comm::FaultStats f = net->fault_stats();
+bool stats_triggered(const comm::InMemoryNetwork& net) {
+  const comm::FaultStats f = net.fault_stats();
   return f.dropped + f.crash_dropped + f.duplicated + f.reordered + f.corrupted +
                  f.truncated >
              0 ||
@@ -164,7 +163,7 @@ RunOutcome run_checked(const ChaosPlan& plan, ThreadPool* pool) {
       out.detail = record_summary(rec);
       return out;
     }
-    if (server.network() != nullptr && !conserved(*server.network())) {
+    if (!conserved(*server.network())) {
       out.failed = true;
       out.invariant = "conservation";
       out.detail =
@@ -178,7 +177,7 @@ RunOutcome run_checked(const ChaosPlan& plan, ThreadPool* pool) {
       return out;
     }
   }
-  out.triggered = out.triggered || stats_triggered(server.network());
+  out.triggered = out.triggered || stats_triggered(*server.network());
   return out;
 }
 
@@ -294,8 +293,7 @@ OracleResult run_oracle(const ChaosPlan& plan, const OracleOptions& options) {
           return result;
         }
       }
-      if (resumed.server->network() != nullptr &&
-          !conserved(*resumed.server->network())) {
+      if (!conserved(*resumed.server->network())) {
         result.passed = false;
         result.invariant = "resume_conservation";
         result.detail = conservation_detail(*resumed.server->network());

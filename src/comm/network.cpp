@@ -1,6 +1,7 @@
 #include "src/comm/network.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
@@ -20,23 +21,45 @@ std::uint64_t link_seed(std::uint64_t plan_seed, std::size_t src, std::size_t ds
   return splitmix64(state);
 }
 
+/// Sum `links` in order; the fixed order keeps the float total
+/// deterministic.
+TrafficStats sum_links(std::span<const TrafficStats> links) {
+  TrafficStats total;
+  for (const TrafficStats& s : links) {
+    total.messages_sent += s.messages_sent;
+    total.bytes_sent += s.bytes_sent;
+    total.simulated_seconds += s.simulated_seconds;
+  }
+  return total;
+}
+
 }  // namespace
 
 InMemoryNetwork::InMemoryNetwork(NetworkConfig config) : config_(config) {
   FEDCAV_REQUIRE(config.num_endpoints >= 2, "InMemoryNetwork: need server + >=1 client");
   FEDCAV_REQUIRE(config.bandwidth_bytes_per_s > 0.0, "InMemoryNetwork: zero bandwidth");
   config_.faults.validate(config_.num_endpoints);
-  const std::size_t n = config_.num_endpoints;
-  inboxes_.resize(n);
-  link_stats_.resize(n * n);
+  const std::size_t clients = config_.num_endpoints - 1;
+  inboxes_.resize(config_.num_endpoints);
+  link_stats_.resize(2 * clients);
   if (config_.faults.enabled()) {
-    link_rng_.reserve(n * n);
-    for (std::size_t src = 0; src < n; ++src) {
-      for (std::size_t dst = 0; dst < n; ++dst) {
-        link_rng_.emplace_back(link_seed(config_.faults.seed, src, dst));
-      }
+    // Each link keeps the stream link_seed gives its (src, dst) pair.
+    link_rng_.reserve(2 * clients);
+    for (std::size_t k = 1; k <= clients; ++k) {
+      link_rng_.emplace_back(link_seed(config_.faults.seed, 0, k));
+    }
+    for (std::size_t k = 1; k <= clients; ++k) {
+      link_rng_.emplace_back(link_seed(config_.faults.seed, k, 0));
     }
   }
+}
+
+std::size_t InMemoryNetwork::link_index(std::size_t src, std::size_t dst) const {
+  const std::size_t n = config_.num_endpoints;
+  FEDCAV_REQUIRE(src < n && dst < n, "InMemoryNetwork: endpoint out of range");
+  FEDCAV_REQUIRE((src == 0) != (dst == 0),
+                 "InMemoryNetwork: every link has the server (rank 0) at exactly one end");
+  return src == 0 ? dst - 1 : (n - 1) + (src - 1);
 }
 
 void InMemoryNetwork::begin_round(std::size_t round) {
@@ -66,14 +89,15 @@ void InMemoryNetwork::enqueue(std::size_t src, std::size_t dst, ByteBuffer wire,
 }
 
 void InMemoryNetwork::send(std::size_t src, std::size_t dst, const Envelope& env) {
-  FEDCAV_REQUIRE(src < config_.num_endpoints && dst < config_.num_endpoints,
-                 "InMemoryNetwork::send: endpoint out of range");
-  FEDCAV_REQUIRE(src != dst, "InMemoryNetwork::send: self-send");
-  std::lock_guard<std::mutex> lock(mutex_);
+  const std::size_t index = link_index(src, dst);
+  // Encode (copy + CRC) before taking the lock: the image is a pure
+  // function of the caller's envelope, and concurrent senders then
+  // serialize only on metering, fault draws and the enqueue.
   ByteBuffer wire = env.encode();
+  std::lock_guard<std::mutex> lock(mutex_);
   // The sender is metered unconditionally: transmission happened even
   // if the fault layer then loses or mangles the image in flight.
-  TrafficStats& link = link_stats_[link_index(src, dst)];
+  TrafficStats& link = link_stats_[index];
   link.messages_sent += 1;
   link.bytes_sent += wire.size();
   link.simulated_seconds += model_transfer_seconds(wire.size());
@@ -89,7 +113,7 @@ void InMemoryNetwork::send(std::size_t src, std::size_t dst, const Envelope& env
   // Fixed decision order per message — jitter, drop, duplicate,
   // corrupt, truncate, reorder — keeps each link's RNG stream aligned
   // across runs regardless of what fires.
-  Rng& rng = link_rng_[link_index(src, dst)];
+  Rng& rng = link_rng_[index];
   if (plan.jitter_s > 0.0) {
     const double extra = rng.uniform(0.0, plan.jitter_s);
     link.simulated_seconds += extra;
@@ -141,12 +165,6 @@ std::optional<ByteBuffer> InMemoryNetwork::try_recv_wire(std::size_t dst,
   return pop_wire(dst, src);
 }
 
-std::optional<Envelope> InMemoryNetwork::try_recv(std::size_t dst, std::size_t src) {
-  std::optional<ByteBuffer> wire = try_recv_wire(dst, src);
-  if (!wire.has_value()) return std::nullopt;
-  return Envelope::decode(*wire);
-}
-
 std::optional<ByteBuffer> InMemoryNetwork::try_recv_any_wire(std::size_t dst,
                                                              std::size_t* src_out) {
   FEDCAV_REQUIRE(dst < config_.num_endpoints,
@@ -169,53 +187,22 @@ std::optional<ByteBuffer> InMemoryNetwork::try_recv_any_wire(std::size_t dst,
   return wire;
 }
 
-std::optional<Envelope> InMemoryNetwork::try_recv_any(std::size_t dst, std::size_t* src_out) {
-  std::optional<ByteBuffer> wire = try_recv_any_wire(dst, src_out);
-  if (!wire.has_value()) return std::nullopt;
-  return Envelope::decode(*wire);
-}
-
-void InMemoryNetwork::broadcast(std::size_t src, const Envelope& env) {
-  for (std::size_t dst = 0; dst < config_.num_endpoints; ++dst) {
-    if (dst != src) send(src, dst, env);
-  }
-}
-
 void InMemoryNetwork::add_link_delay(std::size_t src, std::size_t dst, double seconds) {
-  FEDCAV_REQUIRE(src < config_.num_endpoints && dst < config_.num_endpoints,
-                 "InMemoryNetwork::add_link_delay: endpoint out of range");
+  const std::size_t index = link_index(src, dst);
   std::lock_guard<std::mutex> lock(mutex_);
-  link_stats_[link_index(src, dst)].simulated_seconds += seconds;
+  link_stats_[index].simulated_seconds += seconds;
 }
 
 TrafficStats InMemoryNetwork::stats(std::size_t endpoint) const {
   FEDCAV_REQUIRE(endpoint < config_.num_endpoints, "InMemoryNetwork::stats: bad endpoint");
   std::lock_guard<std::mutex> lock(mutex_);
-  TrafficStats total;
-  for (std::size_t dst = 0; dst < config_.num_endpoints; ++dst) {
-    const TrafficStats& s = link_stats_[link_index(endpoint, dst)];
-    total.messages_sent += s.messages_sent;
-    total.bytes_sent += s.bytes_sent;
-    total.simulated_seconds += s.simulated_seconds;
-  }
-  return total;
+  if (endpoint != 0) return link_stats_[link_index(endpoint, 0)];
+  return sum_links(std::span(link_stats_).first(config_.num_endpoints - 1));
 }
 
 TrafficStats InMemoryNetwork::total_stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  TrafficStats total;
-  for (const auto& s : link_stats_) {
-    total.messages_sent += s.messages_sent;
-    total.bytes_sent += s.bytes_sent;
-    total.simulated_seconds += s.simulated_seconds;
-  }
-  return total;
-}
-
-void InMemoryNetwork::reset_stats() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& s : link_stats_) s = TrafficStats{};
-  fault_stats_ = FaultStats{};
+  return sum_links(link_stats_);
 }
 
 FaultStats InMemoryNetwork::fault_stats() const {
@@ -296,15 +283,20 @@ void InMemoryNetwork::load_state(ByteReader& reader) {
                  "InMemoryNetwork::load_state: fault RNG count mismatch "
                  "(checkpoint and config disagree on whether faults are enabled)");
   for (Rng& rng : link_rng_) rng.set_state(read_rng_state(reader));
-  for (auto& inbox : inboxes_) {
+  for (std::size_t dst = 0; dst < inboxes_.size(); ++dst) {
+    auto& inbox = inboxes_[dst];
     inbox.clear();
     const std::uint64_t count = reader.read_u64();
     for (std::uint64_t i = 0; i < count; ++i) {
       Queued q;
       q.src = reader.read_u64();
-      FEDCAV_REQUIRE(q.src < config_.num_endpoints,
+      FEDCAV_REQUIRE(q.src < config_.num_endpoints && (q.src == 0) != (dst == 0),
                      "InMemoryNetwork::load_state: bad queued source");
       const std::uint64_t bytes = reader.read_u64();
+      // Bounded by the snapshot before any allocation: a hostile length
+      // must throw fedcav::Error, not size a buffer.
+      FEDCAV_REQUIRE(bytes <= reader.remaining(),
+                     "InMemoryNetwork::load_state: queued wire image longer than the snapshot");
       q.wire.resize(bytes);
       for (std::uint64_t b = 0; b < bytes; ++b) q.wire[b] = reader.read_u8();
       inbox.push_back(std::move(q));

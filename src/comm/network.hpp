@@ -1,20 +1,22 @@
 // In-memory message-passing fabric with deterministic fault injection.
 //
 // Interface follows the message-passing idiom from the HPC guides:
-// explicit point-to-point send/recv between integer-ranked endpoints
-// (rank 0 is the server), with per-link byte and message counters and a
-// simple latency model (fixed per-message latency + bytes/bandwidth).
-// The simulated clock makes communication-cost experiments deterministic
-// and machine-independent.
+// explicit send/recv between integer-ranked endpoints, with per-link
+// byte and message counters and a simple latency model (fixed
+// per-message latency + bytes/bandwidth). The topology is hub-and-spoke,
+// like the stream transports': every link has the server (rank 0) at one
+// end, so the fabric keeps two links per client — its downlink and its
+// uplink — and its state is linear in the endpoint count. The simulated
+// clock makes communication-cost experiments deterministic and
+// machine-independent.
 //
 // Messages are stored as encoded wire images so the configured
 // FaultPlan can act on real bytes: drop, duplicate, reorder, flip a
 // bit, cut a suffix, add latency jitter, or black-hole traffic for
 // crashed endpoints (see src/comm/faults.hpp). Fault decisions come
 // from per-link RNG streams, so a chaos run is reproducible with any
-// thread-pool size. Fault-aware receivers pop raw wire bytes with
-// try_recv_wire() and validate via Envelope::try_decode; try_recv()
-// remains the strict trusted-fabric path (throws on a damaged image).
+// thread-pool size. Receivers pop raw wire bytes with try_recv_wire()
+// and validate via Envelope::try_decode.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +54,8 @@ class InMemoryNetwork final : public Transport {
 
   /// Deliver `env` from `src` to `dst` (enqueued immediately; the
   /// simulated clock advances by the modeled transfer time). The sender
-  /// is metered even when the fault layer then loses the message.
+  /// is metered even when the fault layer then loses the message. Throws
+  /// fedcav::Error unless exactly one end of the link is rank 0.
   void send(std::size_t src, std::size_t dst, const Envelope& env) override;
 
   /// Pop the oldest message queued for `dst` from `src`, if any, as raw
@@ -66,26 +69,17 @@ class InMemoryNetwork final : public Transport {
   std::optional<ByteBuffer> try_recv_any_wire(std::size_t dst,
                                               std::size_t* src_out) override;
 
-  /// Strict-decode convenience over try_recv_wire: throws fedcav::Error
-  /// if the popped image is damaged. Use only on fault-free fabrics.
-  std::optional<Envelope> try_recv(std::size_t dst, std::size_t src);
-
-  /// Strict-decode convenience over try_recv_any_wire (same ascending
-  /// source-rank order). Throws fedcav::Error on a damaged image.
-  std::optional<Envelope> try_recv_any(std::size_t dst, std::size_t* src_out);
-
-  /// Send to every endpoint except `src` (server broadcast).
-  void broadcast(std::size_t src, const Envelope& env);
-
   /// Charge `seconds` of extra simulated time to the (src, dst) link —
-  /// the retry protocol's exponential backoff goes through this.
+  /// the retry protocol's exponential backoff goes through this. Same
+  /// link rule as send().
   void add_link_delay(std::size_t src, std::size_t dst, double seconds) override;
 
-  /// Per-endpoint outbound traffic accounting (sum over its links, in
-  /// fixed link order, so even the float total is deterministic).
+  /// Per-endpoint outbound traffic accounting: a client's uplink, or the
+  /// server's downlinks summed in rank order. total_stats() sums the
+  /// downlinks, then the uplinks, each in rank order — a fixed order, so
+  /// even the float totals are deterministic.
   TrafficStats stats(std::size_t endpoint) const override;
   TrafficStats total_stats() const override;
-  void reset_stats();
 
   /// Fabric-wide fault accounting (all zero when the plan is inert).
   FaultStats fault_stats() const override;
@@ -103,12 +97,14 @@ class InMemoryNetwork final : public Transport {
 
   /// Serialize / restore the fabric's mutable state: the current round,
   /// every per-link fault RNG stream, all in-flight wire images, the
-  /// per-link traffic counters and the fabric-wide FaultStats.
+  /// per-link traffic counters and the fabric-wide FaultStats — two
+  /// links per client.
   /// Checkpoints embed this so a resumed chaos run replays the exact
   /// fault sequence, including stale duplicates still in the queues, with
   /// the conservation invariant intact (a layout without the accounting
   /// broke it — see tests/chaos_seeds/resume_stats_conservation.plan).
-  /// load_state throws fedcav::Error on endpoint-count mismatch.
+  /// load_state throws fedcav::Error on an endpoint-count or fault-plan
+  /// mismatch and on a malformed snapshot.
   void save_state(ByteBuffer& buf) const;
   void load_state(ByteReader& reader);
 
@@ -118,9 +114,10 @@ class InMemoryNetwork final : public Transport {
     ByteBuffer wire;
   };
 
-  std::size_t link_index(std::size_t src, std::size_t dst) const {
-    return src * config_.num_endpoints + dst;
-  }
+  /// Slot of the (src, dst) link in link_stats_ and link_rng_: the
+  /// downlinks 0 → k in rank order, then the uplinks k → 0. Throws on an
+  /// endpoint out of range or a link without rank 0 at exactly one end.
+  std::size_t link_index(std::size_t src, std::size_t dst) const;
   /// Append `wire` to dst's inbox; with `reorder`, let it overtake the
   /// most recent queued same-link message instead. Caller holds mutex_.
   void enqueue(std::size_t src, std::size_t dst, ByteBuffer wire, bool reorder);
@@ -128,8 +125,8 @@ class InMemoryNetwork final : public Transport {
 
   NetworkConfig config_;
   std::vector<std::deque<Queued>> inboxes_;  // per destination
-  std::vector<TrafficStats> link_stats_;     // per (src, dst) link
-  std::vector<Rng> link_rng_;                // per (src, dst) fault stream
+  std::vector<TrafficStats> link_stats_;     // per link, see link_index
+  std::vector<Rng> link_rng_;                // per-link fault streams
   FaultStats fault_stats_;
   std::size_t current_round_ = 0;
   mutable std::mutex mutex_;

@@ -8,7 +8,8 @@
 //
 //   * comm::InMemoryNetwork — the single-process simulation fabric with
 //     deterministic fault injection (the test double). Both endpoints of
-//     every link are played by the caller.
+//     every link are played by the caller; like the socket backends it
+//     is hub-and-spoke, every link having rank 0 at one end.
 //   * comm::SocketTransport  — one *endpoint's* view of a real Unix-
 //     domain-socket federation: rank 0 is the daemon, ranks 1..N-1 are
 //     worker processes (see src/comm/socket_transport.hpp).

@@ -226,10 +226,8 @@ void ServerEndpoint::begin_round(std::size_t round, nn::Weights& global) {
     down.model = comm::quantize(global, config_.quant);
     global = comm::dequantize(down.model);
     count_bytes_saved(global.size(), 8, 8 + down.model.wire_size());
-    if (transport_ != nullptr) {
-      downlink_ = comm::Envelope{MessageType::kQuantGlobalModel, down.encode()};
-    }
-  } else if (transport_ != nullptr) {
+    downlink_ = comm::Envelope{MessageType::kQuantGlobalModel, down.encode()};
+  } else {
     comm::GlobalModelMsg down;
     down.round = round;
     down.weights = global;
@@ -261,9 +259,7 @@ ParticipantOutcome ServerEndpoint::exchange_metadata(
     meta = ClientUpdate{client.id(), {}, msg.inference_loss, msg.num_samples};
     return Take::kAccept;
   };
-  if (transport_ == nullptr) {
-    meta = ClientUpdate{client.id(), {}, loss(*reference_), client.num_samples()};
-  } else if (remote_) {
+  if (remote_) {
     // begin_phase broadcast the downlink; its transfer time is still
     // part of this participant's exchange.
     out.elapsed_s += transport_->model_transfer_seconds(downlink_.wire_size());
@@ -317,18 +313,6 @@ std::optional<ClientUpdate> ServerEndpoint::exchange_report(
                           msg.num_samples};
     return Take::kAccept;
   };
-  if (transport_ == nullptr) {
-    report = train();
-    if (config_.quant != comm::QuantMode::kNone) {
-      // Unmetered path: the identical codec transform, so quantization's
-      // accuracy effect does not depend on the fabric being in the loop.
-      const comm::QuantizedDelta coded = client.encode_quantized_update(
-          report->weights, *reference_, config_.quant, config_.quant_keep);
-      report->weights = *reference_;
-      comm::dequantize_add(report->weights, coded);
-    }
-    return report;
-  }
   if (remote_) {
     // The worker trains unprompted after the downlink.
     if (!await_uplink(rank, report_type(config_.quant), take, counters)) return std::nullopt;

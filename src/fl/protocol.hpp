@@ -92,10 +92,10 @@ class ClientEndpoint {
   comm::Envelope report_{};
 };
 
-/// The server's end of the exchange over the attached transport (none =
-/// the unmetered direct path). Phase methods are const and, under the
-/// simulated policy, touch only the caller's ParticipantOutcome, so that
-/// policy may run them concurrently on pool threads.
+/// The server's end of the exchange over the attached transport. Phase
+/// methods are const and, under the simulated policy, touch only the
+/// caller's ParticipantOutcome, so that policy may run them concurrently
+/// on pool threads.
 class ServerEndpoint {
  public:
   explicit ServerEndpoint(const ServerConfig& config) : config_(config) {}

@@ -21,9 +21,9 @@ namespace {
 // run reads (DESIGN.md §9). Every RNG stream a round consumes is derived
 // from (seed, round, id) when it is used, so no client, sampler or
 // straggler stream is stored; the comm fabric's fault streams, queues and
-// accounting are. Files of the retired layouts (magics ...17 to ...1c)
+// accounting are. Files of the retired layouts (magics ...17 to ...1d)
 // are rejected by name.
-constexpr std::uint64_t kCheckpointMagic = 0xfedca5c4ec901dULL;
+constexpr std::uint64_t kCheckpointMagic = 0xfedca5c4ec901eULL;
 constexpr std::uint64_t kFirstCheckpointMagic = 0xfedca5c4ec9017ULL;
 
 /// Attributes a scope's wall time to one RoundPhases field and mirrors
@@ -88,6 +88,9 @@ void ServerConfig::validate(std::size_t num_clients) const {
                  "ServerConfig: quant_keep must be in (0, 1]");
   FEDCAV_REQUIRE(quant_keep == 1.0 || quant != comm::QuantMode::kNone,
                  "ServerConfig: quant_keep < 1 needs a quant codec (fp16 or int8)");
+  FEDCAV_REQUIRE(use_network,
+                 "ServerConfig: use_network = false is retired; rounds always run "
+                 "over the metered fabric");
 }
 
 Server::Server(std::unique_ptr<nn::Model> global_model,
@@ -112,12 +115,10 @@ Server::Server(std::unique_ptr<nn::Model> global_model,
 
   global_weights_ = global_model_->get_weights();
   cached_weights_ = global_weights_;
-  if (config_.use_network) {
-    comm::NetworkConfig net = config_.network;
-    net.num_endpoints = clients_.size() + 1;
-    network_ = std::make_unique<comm::InMemoryNetwork>(net);
-    endpoint_.attach(network_.get(), /*remote=*/false);
-  }
+  comm::NetworkConfig net = config_.network;
+  net.num_endpoints = clients_.size() + 1;
+  network_ = std::make_unique<comm::InMemoryNetwork>(net);
+  endpoint_.attach(network_.get(), /*remote=*/false);
 }
 
 void Server::set_transport(comm::Transport* transport, bool remote) {
@@ -189,8 +190,7 @@ void Server::save_checkpoint(const std::string& path) const {
   // Fabric state: fault-RNG streams, in-flight wire images and the
   // traffic/fault accounting, so a resumed chaos run replays the exact
   // same fault sequence with its conservation invariant intact.
-  write_u8(buf, network_ != nullptr ? 1 : 0);
-  if (network_ != nullptr) network_->save_state(buf);
+  network_->save_state(buf);
 
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   FEDCAV_REQUIRE(out.good(), "save_checkpoint: cannot open " + path);
@@ -222,10 +222,7 @@ void Server::load_checkpoint(const std::string& path) {
   FEDCAV_REQUIRE(num_clients == clients_.size(),
                  "load_checkpoint: client count mismatch in " + path);
   for (auto& client : clients_) client->load_state(reader, global_weights_.size());
-  const bool has_network = reader.read_u8() != 0;
-  FEDCAV_REQUIRE(has_network == (network_ != nullptr),
-                 "load_checkpoint: network presence mismatch in " + path);
-  if (has_network) network_->load_state(reader);
+  network_->load_state(reader);
   FEDCAV_REQUIRE(reader.exhausted(), "load_checkpoint: trailing bytes in " + path);
 
   round_ = saved_round;
@@ -238,15 +235,15 @@ void Server::load_checkpoint(const std::string& path) {
 void Server::write_telemetry(const std::string& trace_path,
                              const std::string& metrics_path) const {
   if (!obs::enabled()) return;
-  if (endpoint_.transport() != nullptr) endpoint_.transport()->publish_metrics();
+  endpoint_.transport()->publish_metrics();
   if (!trace_path.empty()) obs::Tracer::instance().write_chrome_trace_file(trace_path);
   if (!metrics_path.empty()) obs::registry().write_summary_file(metrics_path);
 }
 
 metrics::RoundRecord Server::run_round() {
   ++round_;
-  comm::Transport* const transport = endpoint_.transport();
-  if (transport != nullptr) transport->begin_round(round_);
+  comm::Transport& transport = *endpoint_.transport();
+  transport.begin_round(round_);
   ensure_replica_pool();
   Stopwatch watch;
   metrics::RoundRecord record;
@@ -255,10 +252,10 @@ metrics::RoundRecord Server::run_round() {
   round_span.arg("round", static_cast<double>(round_));
 
   // Downlink bytes are rank 0's sends; uplink bytes everyone else's.
-  const auto bytes_down = [&] { return transport->stats(kServerRank).bytes_sent; };
-  const auto bytes_up = [&] { return transport->total_stats().bytes_sent - bytes_down(); };
-  const std::uint64_t bytes_down_before = transport ? bytes_down() : 0;
-  const std::uint64_t bytes_up_before = transport ? bytes_up() : 0;
+  const auto bytes_down = [&] { return transport.stats(kServerRank).bytes_sent; };
+  const auto bytes_up = [&] { return transport.total_stats().bytes_sent - bytes_down(); };
+  const std::uint64_t bytes_down_before = bytes_down();
+  const std::uint64_t bytes_up_before = bytes_up();
 
   std::vector<std::size_t> participants;
   {
@@ -560,12 +557,10 @@ metrics::RoundRecord Server::run_round() {
   }
 
   record.wall_seconds = watch.seconds();
-  if (transport != nullptr) {
-    record.bytes_down = bytes_down() - bytes_down_before;
-    record.bytes_up = bytes_up() - bytes_up_before;
-    if (obs::enabled()) transport->publish_metrics();
-  }
+  record.bytes_down = bytes_down() - bytes_down_before;
+  record.bytes_up = bytes_up() - bytes_up_before;
   if (obs::enabled()) {
+    transport.publish_metrics();
     auto& reg = obs::registry();
     reg.counter("server.rounds").add(1);
     reg.histogram("server.round_seconds").observe(record.wall_seconds);

@@ -63,8 +63,9 @@ struct ServerConfig {
   /// participant's batch shuffles and the straggler coins are all
   /// derive_seed(seed, round, id, tag) (DESIGN.md §16).
   std::uint64_t seed = 11;
-  /// Route weights through the comm fabric (exact byte metering). Off
-  /// saves two serialization passes per participant per round.
+  /// Retired switch: every round runs over the metered fabric, so
+  /// validate rejects false. Kept only for the frozen fedbench/
+  /// (DESIGN.md §17).
   bool use_network = true;
   comm::NetworkConfig network;
   /// Remote mode only (set_transport with remote = true): wall-clock
@@ -81,9 +82,7 @@ struct ServerConfig {
   /// reference w̃_t, so both endpoints train and diff against the
   /// identical float image — and carry the uplink as a quantized weight
   /// *delta* with per-client error feedback (the residual each code drops
-  /// is added into the client's next delta). Applied identically with
-  /// use_network = false, so accuracy effects are measurable without the
-  /// fabric; only the byte metering needs the network.
+  /// is added into the client's next delta).
   comm::QuantMode quant = comm::QuantMode::kNone;
   /// Uplink top-k composition: quantize only this fraction of the
   /// delta's largest-|v| coordinates (bitmap-coded presence, see
@@ -186,6 +185,8 @@ class Server {
 
   AggregationStrategy& strategy() { return *strategy_; }
   const core::AnomalyDetector& detector() const { return detector_; }
+  /// The owned in-memory fabric (never null), whatever set_transport
+  /// installed.
   const comm::InMemoryNetwork* network() const { return network_.get(); }
   comm::InMemoryNetwork* network() { return network_.get(); }
 

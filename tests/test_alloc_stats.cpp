@@ -130,7 +130,6 @@ TEST(AllocStats, RoundPeakLiveBytesIndependentOfCohortSize) {
     cfg.server.sample_ratio = 1.0;  // whole cohort participates
     cfg.server.local.epochs = 1;
     cfg.server.local.batch_size = 4;
-    cfg.server.use_network = false;
     fl::Simulation sim = fl::build_simulation(cfg);
     ThreadPool pool(2);
     sim.server->set_thread_pool(&pool);

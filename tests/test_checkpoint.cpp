@@ -205,7 +205,7 @@ TEST(CheckpointResume, QuantizedRunWithPendingResidualResumesBitIdentically) {
 TEST(CheckpointResume, RejectsEveryOlderMagic) {
   set_log_level(LogLevel::kError);
   // One layout remains. A file stamped with any retired magic (v1-v6,
-  // ...17 to ...1c) is refused as an unsupported version — whatever
+  // ...17 to ...1d) is refused as an unsupported version — whatever
   // follows the magic — instead of being misread or called corrupt.
   fl::SimulationConfig config = small_config();
   fl::Simulation sim = fl::build_simulation(config);
@@ -218,7 +218,7 @@ TEST(CheckpointResume, RejectsEveryOlderMagic) {
     image.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
   }
   ASSERT_GT(image.size(), 8u);
-  for (std::uint64_t magic = 0xfedca5c4ec9017ULL; magic <= 0xfedca5c4ec901cULL; ++magic) {
+  for (std::uint64_t magic = 0xfedca5c4ec9017ULL; magic <= 0xfedca5c4ec901dULL; ++magic) {
     ByteBuffer stamp;
     write_u64(stamp, magic);
     image.replace(0, stamp.size(), reinterpret_cast<const char*>(stamp.data()), stamp.size());

@@ -367,7 +367,6 @@ TEST(Server, DeterministicGivenSeed) {
 
 TEST(Server, NetworkMetersWeightTraffic) {
   SimulationConfig config = tiny_config();
-  config.server.use_network = true;
   Simulation sim = build_simulation(config);
   const metrics::RoundRecord rec = sim.server->run_round();
   const std::size_t weight_bytes = sim.server->global_weights().size() * sizeof(float);
@@ -379,28 +378,13 @@ TEST(Server, NetworkMetersWeightTraffic) {
   EXPECT_LT(rec.bytes_down, rec.participants * (weight_bytes + 256));
 }
 
-TEST(Server, DisablingNetworkSkipsAccounting) {
+TEST(Server, DisablingNetworkIsRejected) {
+  // Every round runs over the metered fabric. The retired switch would
+  // otherwise silently turn off the fault plan, retries, the uplink
+  // deadline and every byte count.
   SimulationConfig config = tiny_config();
   config.server.use_network = false;
-  Simulation sim = build_simulation(config);
-  const metrics::RoundRecord rec = sim.server->run_round();
-  EXPECT_EQ(rec.bytes_down, 0u);
-  EXPECT_EQ(rec.bytes_up, 0u);
-  EXPECT_EQ(sim.server->network(), nullptr);
-}
-
-TEST(Server, NetworkAndDirectPathsAgree) {
-  // Serialization must be lossless: identical training outcome whether
-  // weights travel through the fabric or not.
-  SimulationConfig with_net = tiny_config();
-  with_net.server.use_network = true;
-  SimulationConfig without_net = tiny_config();
-  without_net.server.use_network = false;
-  Simulation a = build_simulation(with_net);
-  Simulation b = build_simulation(without_net);
-  a.server->run(2);
-  b.server->run(2);
-  EXPECT_EQ(a.server->global_weights(), b.server->global_weights());
+  EXPECT_THROW(build_simulation(config), Error);
 }
 
 TEST(Server, SetGlobalWeightsValidatesSize) {

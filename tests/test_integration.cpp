@@ -163,7 +163,6 @@ TEST_F(IntegrationTest, FreshClassRedistributionIsLearnable) {
 
 TEST_F(IntegrationTest, ByteAccountingMatchesModelSize) {
   SimulationConfig config = base_config();
-  config.server.use_network = true;
   Simulation sim = build_simulation(config);
   const metrics::RoundRecord rec = sim.server->run_round();
   const std::size_t n_params = sim.server->global_weights().size();

@@ -176,13 +176,16 @@ TEST(PropertyAgg, NetworkStateRoundTripPreservesTrafficAndFaultAccounting) {
     comm::InMemoryNetwork net(config);
     net.begin_round(1);
 
-    // Random traffic, partially drained, so in-flight messages and
-    // nonzero counters both survive into the snapshot.
+    // Random traffic on the server's links (every link has rank 0 at
+    // one end), partially drained, so in-flight messages and nonzero
+    // counters both survive into the snapshot.
     const std::size_t sends = 1 + static_cast<std::size_t>(rng.uniform_int(std::uint64_t{20}));
     for (std::size_t i = 0; i < sends; ++i) {
-      const auto src = static_cast<std::size_t>(rng.uniform_int(config.num_endpoints));
-      auto dst = static_cast<std::size_t>(rng.uniform_int(config.num_endpoints));
-      if (dst == src) dst = (dst + 1) % config.num_endpoints;
+      const auto client =
+          1 + static_cast<std::size_t>(rng.uniform_int(config.num_endpoints - 1));
+      const bool uplink = rng.bernoulli(0.5);
+      const std::size_t src = uplink ? client : 0;
+      const std::size_t dst = uplink ? 0 : client;
       comm::Envelope env;
       env.type = comm::MessageType::kControl;
       env.payload = proptest::gen_bytes(rng, 32);
