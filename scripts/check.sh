@@ -76,9 +76,11 @@ echo "==> multiproc smoke, tcp (plain)"
 timeout 300 "${repo}/scripts/multiproc_smoke.sh" "${repo}/build" 4 2 tcp
 # Frozen-benchmark guard (BENCHMARK.json, fedbench/): the repo benchmark
 # builds from this checkout into .bench_build/ and must still run and
-# self-check correct (exit 0) on its multi-process TCP workload and its
-# quantized one. One-second runs: about a minute cold, seconds warm.
-for workload in federation_tcp cohort_mlp_1k_int8; do
+# self-check correct (exit 0) on its multi-process TCP workload, the
+# dense in-memory fabric at cohort scale (its dense_bytes_exact check
+# meters every byte) and the quantized one. One-second runs: about a
+# minute cold, seconds warm.
+for workload in federation_tcp cohort_mlp_1k cohort_mlp_1k_int8; do
   echo "==> fedbench ${workload} (plain)"
   timeout 600 python3 "${repo}/fedbench/run.py" --workload "${workload}" \
     --seed 1 --seconds 1 --trace 0

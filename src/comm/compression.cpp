@@ -1,10 +1,10 @@
 #include "src/comm/compression.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 
 #include "src/utils/error.hpp"
 
@@ -12,22 +12,50 @@ namespace fedcav::comm {
 
 namespace {
 
-/// The k largest-|v| coordinates of `dense`, ascending. Lower index wins
-/// ties, so the selection (and the wire image) is deterministic; the
-/// comparator is a strict weak ordering only for non-NaN input.
-std::vector<std::uint32_t> topk_indices(std::span<const float> dense, std::size_t k) {
-  std::vector<std::uint32_t> order(dense.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::nth_element(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                   order.end(), [&](std::uint32_t a, std::uint32_t b) {
-                     const float ma = std::abs(dense[a]);
-                     const float mb = std::abs(dense[b]);
-                     if (ma != mb) return ma > mb;
-                     return a < b;
-                   });
-  order.resize(k);
-  std::sort(order.begin(), order.end());
-  return order;
+/// |v| as an integer: for finite floats the sign-cleared bit pattern
+/// orders exactly like the magnitude, and ±0 share key 0.
+std::uint32_t magnitude_key(float v) { return std::bit_cast<std::uint32_t>(v) & 0x7fffffffu; }
+
+/// Where the k largest-|v| coordinates end: every coordinate whose key
+/// exceeds `key` is kept, plus the first `ties` (lowest-index)
+/// coordinates whose key equals it.
+struct TopKCut {
+  std::uint32_t key = 0;
+  std::size_t ties = 0;
+};
+
+/// Exact radix select of the k-th largest key (1 <= k <= dense.size()),
+/// most significant digit first. Digit 1 (key bits 30..20) counts every
+/// coordinate; digits 2 (bits 19..9) and 3 (bits 8..0) count only the
+/// threshold bucket's candidates. Finite input only: a NaN's key would
+/// sort above +inf.
+TopKCut topk_cut(std::span<const float> dense, std::size_t k) {
+  std::array<std::uint32_t, 2048> hist{};
+  std::size_t need = k;  // the threshold's rank among keys sharing the digits picked so far
+  // Walks a digit's buckets downward past every bucket wholly above the
+  // threshold.
+  const auto pick = [&](std::uint32_t digit) {
+    while (need > hist[digit]) need -= hist[digit--];
+    return digit;
+  };
+  for (const float v : dense) ++hist[magnitude_key(v) >> 20];
+  std::uint32_t key = pick(2047) << 20;
+  std::vector<std::uint32_t> candidates;
+  candidates.reserve(hist[key >> 20]);
+  for (const float v : dense) {
+    if ((magnitude_key(v) >> 20) == (key >> 20)) candidates.push_back(magnitude_key(v));
+  }
+  int above = 20;
+  for (const int shift : {9, 0}) {
+    const std::uint32_t digits = (1u << (above - shift)) - 1u;
+    hist.fill(0);
+    for (const std::uint32_t c : candidates) {
+      if ((c >> above) == (key >> above)) ++hist[(c >> shift) & digits];
+    }
+    key |= pick(digits) << shift;
+    above = shift;
+  }
+  return {key, need};
 }
 
 }  // namespace
@@ -166,7 +194,7 @@ QuantizedDelta QuantizedDelta::decode(ByteReader& reader) {
   FEDCAV_REQUIRE(mask_bytes <= reader.remaining(),
                  "QuantizedDelta: mask larger than buffer");
   out.mask.resize(mask_bytes);
-  for (std::uint64_t i = 0; i < mask_bytes; ++i) out.mask[i] = reader.read_u8();
+  reader.read_bytes(out.mask);
   if (mask_bytes > 0 && out.dim % 8 != 0) {
     FEDCAV_REQUIRE((out.mask.back() >> (out.dim % 8)) == 0,
                    "QuantizedDelta: mask bits past dim");
@@ -197,7 +225,7 @@ QuantizedDelta QuantizedDelta::decode(ByteReader& reader) {
   FEDCAV_REQUIRE(data_bytes <= reader.remaining(),
                  "QuantizedDelta: payload larger than buffer");
   out.data.resize(data_bytes);
-  for (std::uint64_t i = 0; i < data_bytes; ++i) out.data[i] = reader.read_u8();
+  reader.read_bytes(out.data);
   return out;
 }
 
@@ -207,9 +235,9 @@ QuantizedDelta quantize(std::span<const float> dense, QuantMode mode,
   FEDCAV_REQUIRE(!dense.empty(), "quantize: empty input");
   FEDCAV_REQUIRE(keep_ratio > 0.0 && keep_ratio <= 1.0,
                  "quantize: keep_ratio must be in (0, 1]");
-  // One scan of the whole input, before selection: a NaN breaks the
-  // top-k comparator's ordering and slips past std::min/std::max, and
-  // fp16 would ship ±∞/NaN as codes.
+  // One scan of the whole input, before selection: a NaN's magnitude
+  // key sorts above +∞ so the top-k would keep it, it slips past
+  // std::min/std::max, and fp16 would ship ±∞/NaN as codes.
   FEDCAV_REQUIRE(all_finite(dense), "quantize: non-finite input");
   QuantizedDelta out;
   out.mode = mode;
@@ -224,10 +252,16 @@ QuantizedDelta quantize(std::span<const float> dense, QuantMode mode,
     const std::size_t k = std::max<std::size_t>(
         1, static_cast<std::size_t>(
                std::ceil(keep_ratio * static_cast<double>(dense.size()))));
-    const std::vector<std::uint32_t> indices = topk_indices(dense, k);
+    // One ascending pass keeps every key above the cut and the
+    // lowest-index ties, so the kept values come out in coordinate order.
+    const TopKCut cut = topk_cut(dense, k);
+    std::size_t ties = cut.ties;
     out.mask.assign((dense.size() + 7) / 8, 0);
     kept_values.reserve(k);
-    for (std::uint32_t idx : indices) {
+    for (std::size_t idx = 0; idx < dense.size(); ++idx) {
+      const std::uint32_t key = magnitude_key(dense[idx]);
+      if (key < cut.key || (key == cut.key && ties == 0)) continue;
+      if (key == cut.key) --ties;
       out.mask[idx / 8] |= static_cast<std::uint8_t>(1u << (idx % 8));
       kept_values.push_back(dense[idx]);
     }

@@ -2,9 +2,12 @@
 //
 // The comm fabric appends this checksum to every Envelope so receivers
 // can reject payloads the fault-injecting network corrupted or
-// truncated in flight, before any structural decode runs. Table-driven,
-// one table shared process-wide; incremental form exposed so framing
-// code can checksum header + payload without concatenating them.
+// truncated in flight, before any structural decode runs. One portable
+// slice-by-16 kernel: 16 constexpr 256-entry tables (16 KiB), 16 bytes
+// per step read as two little-endian words assembled from bytes, then
+// a bytewise tail; no intrinsics, no CPU dispatch. Incremental form
+// exposed so framing code can checksum header + payload without
+// concatenating them.
 #pragma once
 
 #include <cstdint>

@@ -131,6 +131,7 @@ constexpr std::size_t kEnvelopeFraming = sizeof(std::uint64_t) + sizeof(std::uin
 
 ByteBuffer Envelope::encode() const {
   ByteBuffer buf;
+  buf.reserve(wire_size());  // the payload is copied once, not again at the CRC append
   write_u64(buf, static_cast<std::uint64_t>(type));
   buf.insert(buf.end(), payload.begin(), payload.end());
   write_u32(buf, crc32({buf.data(), buf.size()}));

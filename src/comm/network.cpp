@@ -298,7 +298,7 @@ void InMemoryNetwork::load_state(ByteReader& reader) {
       FEDCAV_REQUIRE(bytes <= reader.remaining(),
                      "InMemoryNetwork::load_state: queued wire image longer than the snapshot");
       q.wire.resize(bytes);
-      for (std::uint64_t b = 0; b < bytes; ++b) q.wire[b] = reader.read_u8();
+      reader.read_bytes(q.wire);
       inbox.push_back(std::move(q));
     }
   }

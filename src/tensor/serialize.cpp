@@ -90,6 +90,13 @@ std::vector<float> ByteReader::read_f32_vector() {
   return out;
 }
 
+void ByteReader::read_bytes(std::span<std::uint8_t> out) {
+  require(out.size());
+  if (out.empty()) return;  // out.data() may be null; memcpy(null, ..) is UB
+  std::memcpy(out.data(), data_.data() + pos_, out.size());
+  pos_ += out.size();
+}
+
 void write_tensor(ByteBuffer& buf, const Tensor& t) {
   write_u64(buf, t.shape().rank());
   for (std::size_t i = 0; i < t.shape().rank(); ++i) write_u64(buf, t.shape()[i]);

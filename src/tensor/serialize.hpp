@@ -36,6 +36,8 @@ class ByteReader {
   float read_f32();
   double read_f64();
   std::vector<float> read_f32_vector();
+  /// Copy the next out.size() bytes into `out`.
+  void read_bytes(std::span<std::uint8_t> out);
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool exhausted() const { return pos_ == data_.size(); }

@@ -12,6 +12,7 @@
 #include "src/comm/message.hpp"
 #include "src/comm/network.hpp"
 #include "src/utils/error.hpp"
+#include "src/utils/rng.hpp"
 
 namespace fedcav::comm {
 namespace {
@@ -150,6 +151,48 @@ TEST(Crc32, MatchesIeee8023Vector) {
   const char* s = "123456789";
   const ByteBuffer data(s, s + 9);
   EXPECT_EQ(crc32(data), 0xCBF43926u);
+}
+
+/// The bytewise table-driven CRC-32: the reference the slice-by-16
+/// kernel must match on every length, alignment and split.
+std::uint32_t bytewise_crc32(std::span<const std::uint8_t> data) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    table[i] = c;
+  }
+  std::uint32_t crc = 0xffffffffu;
+  for (const std::uint8_t byte : data) crc = table[(crc ^ byte) & 0xffu] ^ (crc >> 8);
+  return crc ^ 0xffffffffu;
+}
+
+TEST(Crc32, MatchesBytewiseReference) {
+  Rng rng(0xc4c32);
+  ByteBuffer data(64 * 1024 + 16);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform_int(256));
+  // Every short length at every start offset: the 16-byte blocks, the
+  // bytewise tail, and misaligned word loads.
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::span<const std::uint8_t> view(data.data() + offset, len);
+      ASSERT_EQ(crc32(view), bytewise_crc32(view)) << "offset " << offset << " len " << len;
+    }
+  }
+  for (int trial = 0; trial < 64; ++trial) {
+    const std::size_t offset = rng.uniform_int(16);
+    const std::size_t len = rng.uniform_int(64 * 1024 + 1);
+    const std::span<const std::uint8_t> view(data.data() + offset, len);
+    ASSERT_EQ(crc32(view), bytewise_crc32(view)) << "offset " << offset << " len " << len;
+  }
+  // A running CRC split at every point of a 100-byte buffer.
+  const std::span<const std::uint8_t> whole(data.data(), 100);
+  const std::uint32_t expected = bytewise_crc32(whole);
+  for (std::size_t split = 0; split <= whole.size(); ++split) {
+    std::uint32_t crc = crc32_update(kCrc32Init, whole.first(split));
+    crc = crc32_update(crc, whole.subspan(split));
+    ASSERT_EQ(crc32_finish(crc), expected) << "split " << split;
+  }
 }
 
 TEST(Crc32, IncrementalMatchesOneShot) {

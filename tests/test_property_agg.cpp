@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstring>
 #include <numeric>
@@ -110,57 +111,82 @@ TEST(PropertyAgg, AggregationWeightsAreConvexAndScaleInvariant) {
   });
 }
 
-TEST(PropertyAgg, TopKRoundTripAndDeterministicTieBreak) {
-  FEDCAV_PROPERTY("quantized top-k", 1000, [](Rng& rng) {
-    const std::size_t dim = 1 + static_cast<std::size_t>(rng.uniform_int(std::uint64_t{63}));
-    // Draw magnitudes from a tiny value set so ties are the common
-    // case, not a corner case. Every value is exact in fp16.
-    std::vector<float> dense(dim);
-    const float mags[] = {0.0f, 0.25f, 0.25f, 1.0f, 2.0f};
-    for (auto& v : dense) {
-      v = mags[rng.uniform_int(std::uint64_t{5})] * (rng.bernoulli(0.5) ? 1.0f : -1.0f);
-    }
-    const double ratio = rng.uniform(0.01, 1.0);
-    const auto k = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::ceil(ratio * static_cast<double>(dim))));
+/// quantize's top-k mask against the full (|v| desc, index asc) sort,
+/// plus the coded delta's reconstruction and wire round-trip.
+void check_topk_case(Rng& rng, std::size_t dim) {
+  // Draw from a small value set so ties are the common case, not a
+  // corner case: ±0, a subnormal, equal magnitudes of both signs, values
+  // that share their top bits with 1.0 but differ lower down, and FLT_MAX
+  // (one sign per case: ±FLT_MAX in one int8 block has no finite scale).
+  const float values[] = {0.0f, 1e-40f, 0.25f, 1.0f, 1.0f + 0x1p-12f,
+                          std::nextafter(1.0f, 2.0f), 2.0f, FLT_MAX};
+  const float max_sign = rng.bernoulli(0.5) ? 1.0f : -1.0f;
+  std::vector<float> dense(dim);
+  for (auto& v : dense) {
+    const std::size_t pick = rng.uniform_int(std::size(values));
+    const float sign = pick + 1 == std::size(values) ? max_sign
+                                                     : (rng.bernoulli(0.5) ? 1.0f : -1.0f);
+    v = values[pick] * sign;
+  }
+  // k = 1 and k = dim (through the top-k path, ratio < 1) are forced
+  // often; the rest spread over (0, 1).
+  double ratio = rng.uniform(0.01, 1.0);
+  switch (rng.uniform_int(std::uint64_t{4})) {
+    case 0: ratio = 0.5 / static_cast<double>(dim); break;
+    case 1: ratio = 1.0 - 0.5 / static_cast<double>(dim); break;
+    default: break;
+  }
+  const auto k = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::ceil(ratio * static_cast<double>(dim))));
 
-    // Reference selection: stable order by (|v| desc, index asc).
-    std::vector<std::uint32_t> order(dim);
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-      const float ma = std::abs(dense[a]);
-      const float mb = std::abs(dense[b]);
-      if (ma != mb) return ma > mb;
-      return a < b;
-    });
-    order.resize(k);
-    std::sort(order.begin(), order.end());
+  // Reference selection: stable order by (|v| desc, index asc).
+  std::vector<std::uint32_t> order(dim);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    const float ma = std::abs(dense[a]);
+    const float mb = std::abs(dense[b]);
+    if (ma != mb) return ma > mb;
+    return a < b;
+  });
+  order.resize(k);
+  std::sort(order.begin(), order.end());
 
-    for (const comm::QuantMode mode : {comm::QuantMode::kFp16, comm::QuantMode::kInt8}) {
-      const comm::QuantizedDelta q = comm::quantize(dense, mode, ratio);
-      // Dropped coordinates reconstruct to zero; fp16 reproduces the
-      // kept ones exactly.
-      const std::vector<float> out = comm::dequantize(q);
-      std::vector<std::uint32_t> kept;
-      for (std::uint32_t i = 0; i < dim; ++i) {
-        if (!q.mask.empty() && ((q.mask[i / 8] >> (i % 8)) & 1u) == 0) {
-          EXPECT_EQ(out[i], 0.0f);
-          continue;
-        }
-        kept.push_back(i);
-        if (mode == comm::QuantMode::kFp16) {
-          EXPECT_EQ(out[i], dense[i]);
-        }
+  for (const comm::QuantMode mode : {comm::QuantMode::kFp16, comm::QuantMode::kInt8}) {
+    const comm::QuantizedDelta q = comm::quantize(dense, mode, ratio);
+    // Dropped coordinates reconstruct to zero; fp16 reproduces each kept
+    // one as its half-precision code.
+    const std::vector<float> out = comm::dequantize(q);
+    std::vector<std::uint32_t> kept;
+    for (std::uint32_t i = 0; i < dim; ++i) {
+      if (!q.mask.empty() && ((q.mask[i / 8] >> (i % 8)) & 1u) == 0) {
+        EXPECT_EQ(out[i], 0.0f);
+        continue;
       }
-      ASSERT_EQ(kept, order) << "tie-break must pick the lowest index ("
-                             << comm::to_string(mode) << ")";
-
-      // Wire round-trip at the exact size.
-      const ByteBuffer wire = q.encode();
-      EXPECT_EQ(wire.size(), q.wire_size());
-      ByteReader reader(wire);
-      EXPECT_EQ(comm::QuantizedDelta::decode(reader).encode(), wire);
+      kept.push_back(i);
+      if (mode == comm::QuantMode::kFp16) {
+        EXPECT_EQ(out[i], comm::f16_to_f32(comm::f32_to_f16(dense[i])));
+      }
     }
+    ASSERT_EQ(kept, order) << "tie-break must pick the lowest index ("
+                           << comm::to_string(mode) << ", dim " << dim << ", k " << k
+                           << ")";
+
+    // Wire round-trip at the exact size.
+    const ByteBuffer wire = q.encode();
+    EXPECT_EQ(wire.size(), q.wire_size());
+    ByteReader reader(wire);
+    EXPECT_EQ(comm::QuantizedDelta::decode(reader).encode(), wire);
+  }
+}
+
+TEST(PropertyAgg, TopKRoundTripAndDeterministicTieBreak) {
+  // Many int8 blocks (256 kept values each) per case.
+  FEDCAV_PROPERTY("quantized top-k", 1000, [](Rng& rng) {
+    check_topk_case(rng, 1 + static_cast<std::size_t>(rng.uniform_int(std::uint64_t{2048})));
+  });
+  // The mlp and cnn9 parameter counts, the sizes the fabric codes.
+  FEDCAV_PROPERTY("quantized top-k at model sizes", 20, [](Rng& rng) {
+    check_topk_case(rng, rng.bernoulli(0.5) ? 6634 : 14082);
   });
 }
 
