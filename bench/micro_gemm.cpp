@@ -8,25 +8,20 @@
 // {shape, seed_gflops, new_gflops, speedup} entry per tuple) at the
 // repo root, so later perf PRs are judged against a committed baseline.
 //
-// Usage: micro_gemm [--fast] [--threads N] [--out <path>]
+// Usage: micro_gemm [--fast] [--out <path>]
 //   --fast     CI-sized run (shorter timing windows, same shape coverage)
-//   --threads  fan the packed kernel's macro-tiles over N pool workers
-//              (0 = single-threaded; results are bit-identical either way)
 //   --out      override the JSON destination (default <repo>/BENCH_gemm.json)
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/tensor/gemm.hpp"
 #include "src/tensor/ops.hpp"
-#include "src/tensor/parallel.hpp"
 #include "src/utils/rng.hpp"
 
 namespace {
@@ -202,25 +197,15 @@ int main(int argc, char** argv) {
 #else
   std::string out_path = "BENCH_gemm.json";
 #endif
-  int threads = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--fast") == 0) {
       window_ms = 5.0;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
     } else {
-      std::fprintf(stderr, "usage: %s [--fast] [--threads N] [--out <path>]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--fast] [--out <path>]\n", argv[0]);
       return 2;
     }
-  }
-
-  std::unique_ptr<ThreadPool> kernel_pool;
-  if (threads > 0) {
-    kernel_pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(threads));
-    ops::set_kernel_pool(kernel_pool.get());
   }
 
   Rng rng(2021);
@@ -259,8 +244,7 @@ int main(int argc, char** argv) {
     json << "  {\"shape\": \"" << c.m << "x" << c.n << "x" << c.k
          << "\", \"op\": \"" << op_name(c.op) << "\", \"model\": \"" << c.model
          << "\", \"site\": \"" << c.site << "\", \"seed_gflops\": " << seed_gf
-         << ", \"new_gflops\": " << new_gf << ", \"speedup\": " << speedup
-         << ", \"threads\": " << threads << "}";
+         << ", \"new_gflops\": " << new_gf << ", \"speedup\": " << speedup << "}";
   }
   json << "\n]\n";
 

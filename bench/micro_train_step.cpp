@@ -15,17 +15,14 @@
 // {model, batch, baseline_fwdbwd_ms, new_fwdbwd_ms, new_step_ms,
 // speedup} entry per case) at the repo root.
 //
-// Usage: micro_train_step [--fast] [--threads N] [--out <path>]
+// Usage: micro_train_step [--fast] [--model <name>] [--out <path>]
 //   --fast     CI-sized run (shorter timing windows, same case coverage)
-//   --threads  fan the new path's kernels over N pool workers (0 =
-//              single-threaded; results are bit-identical either way —
-//              the baseline path always runs single-threaded)
+//   --model    time one zoo model only (profiling aid; skips the gate)
 //   --out      override the JSON destination (default <repo>/BENCH_train_step.json)
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -39,7 +36,6 @@
 #include "src/tensor/gemm.hpp"
 #include "src/tensor/im2col.hpp"
 #include "src/tensor/ops.hpp"
-#include "src/tensor/parallel.hpp"
 #include "src/utils/rng.hpp"
 
 namespace baseline {
@@ -648,7 +644,6 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_train_step.json";
 #endif
   const char* only_model = nullptr;  // profiling aid: time one model only
-  int threads = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--fast") == 0) {
       window_ms = 10.0;
@@ -656,23 +651,11 @@ int main(int argc, char** argv) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--model") == 0 && i + 1 < argc) {
       only_model = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--fast] [--model <name>] [--threads N] "
-                   "[--out <path>]\n",
+      std::fprintf(stderr, "usage: %s [--fast] [--model <name>] [--out <path>]\n",
                    argv[0]);
       return 2;
     }
-  }
-
-  // The pool is attached only while the new path's bodies run: the
-  // baseline is the frozen single-threaded reference, and it shares the
-  // library GEMM that would otherwise fan out too.
-  std::unique_ptr<ThreadPool> kernel_pool;
-  if (threads > 0) {
-    kernel_pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(threads));
   }
 
   std::ofstream json(out_path);
@@ -711,16 +694,12 @@ int main(int argc, char** argv) {
 
     auto base_body = [&] { base.fwd_bwd(input, labels); };
     auto new_body = [&] {
-      ops::set_kernel_pool(kernel_pool.get());
       model->forward_backward(input, labels);
       model->zero_grad();
-      ops::set_kernel_pool(nullptr);
     };
     auto step_body = [&] {
-      ops::set_kernel_pool(kernel_pool.get());
       model->forward_backward(input, labels);
       opt.step(*model);
-      ops::set_kernel_pool(nullptr);
     };
     const std::size_t base_iters = calibrate_iters(base_body, window_ms);
     const std::size_t new_iters = calibrate_iters(new_body, window_ms);
@@ -748,7 +727,7 @@ int main(int argc, char** argv) {
     json << "  {\"model\": \"" << c.model << "\", \"batch\": " << c.batch
          << ", \"baseline_fwdbwd_ms\": " << base_ms
          << ", \"new_fwdbwd_ms\": " << new_ms << ", \"new_step_ms\": " << step_ms
-         << ", \"speedup\": " << speedup << ", \"threads\": " << threads << "}";
+         << ", \"speedup\": " << speedup << "}";
   }
   json << "\n]\n";
 

@@ -8,7 +8,6 @@
 #include <string>
 
 #include "src/fl/simulation.hpp"
-#include "src/tensor/parallel.hpp"
 #include "src/utils/cli.hpp"
 #include "src/utils/config.hpp"
 #include "src/utils/logging.hpp"
@@ -40,7 +39,6 @@ int main(int argc, char** argv) {
   cli.add_string("quant", "none", "wire codec: none | fp16 | int8 (DESIGN.md §13)");
   cli.add_double("quant-keep", 1.0,
                  "top-k fraction of the uplink delta to keep (0, 1]; below 1 needs --quant");
-  cli.add_int("threads", 0, "intra-op kernel workers (0 = single-threaded kernels)");
   if (!cli.parse(argc, argv)) return 0;
 
   set_log_level(LogLevel::kWarn);
@@ -101,16 +99,6 @@ int main(int argc, char** argv) {
   config.server.uplink_deadline_s = cli.get_double("uplink-deadline");
   config.server.quant = comm::quant_mode_from_string(cli.get_string("quant"));
   config.server.quant_keep = cli.get_double("quant-keep");
-
-  // Intra-op parallelism: route the tensor kernels through a pool. The
-  // tile ownership is fixed (see src/tensor/parallel.hpp), so any worker
-  // count produces bit-identical results.
-  std::unique_ptr<ThreadPool> kernel_pool;
-  const int threads = cli.get_int("threads");
-  if (threads > 0) {
-    kernel_pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(threads));
-    ops::set_kernel_pool(kernel_pool.get());
-  }
 
   fl::Simulation sim = fl::build_simulation(config);
   std::printf("dataset=%s model=%s strategy=%s clients=%zu params=%zu\n",

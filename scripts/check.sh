@@ -5,11 +5,12 @@
 # suites (thread pool, the round pipeline's WaveScheduler, obs
 # tracer/registry, server rounds, and the fault-injection chaos/golden
 # suites — the retry protocol runs on pool threads, so TSan coverage
-# there is mandatory). The plain build also replays the kernel + golden
-# suites under FEDCAV_TEST_THREADS=1 and =4 (parallel-kernel determinism
-# gate, DESIGN.md §13); the TSan build replays them at the 4-way
-# fan-out. Each configuration gets its own build tree so they never
-# thrash one cache.
+# there is mandatory). Kernels are serial (DESIGN.md §13), but under
+# TSan they still run concurrently on separate replicas: GoldenRun
+# trains lenet5 clients on the multi-worker global pool, and
+# RoundEngineServer.*AcrossPoolSizes (selected by "Server") repeats
+# rounds at several pool sizes. Each configuration gets its own build
+# tree so they never thrash one cache.
 #
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
@@ -36,16 +37,6 @@ run_config() {
 ctest_args=("$@")
 
 run_config "${repo}/build" ""
-# Parallel-kernel determinism gate (DESIGN.md §13): replay the kernel +
-# golden suites with the FEDCAV_TEST_THREADS hook attaching a 1-worker
-# and a 4-worker kernel pool. The goldens pin exact accuracy/loss, so a
-# pass here proves the kernels are bit-identical at every fan-out.
-kernel_filter="Gemm|GemmCrossCheck|Conv2D|ConvBatched|Activation|MaxPool|AvgPool|GlobalAvgPool|Loss|GradCheck|Evaluate|ZooTraining|GoldenRun"
-for threads in 1 4; do
-  echo "==> ctest kernel suites, FEDCAV_TEST_THREADS=${threads} (plain)"
-  FEDCAV_TEST_THREADS="${threads}" ctest --test-dir "${repo}/build" \
-    --output-on-failure -j "${jobs}" -R "${kernel_filter}" "${ctest_args[@]}"
-done
 # Cohort-scaling memory gate (replica-pool bound, DESIGN.md §11 + §15):
 # a smoke run of the bench enforces that peak round memory does not
 # scale with the cohort, up to a 4096-client round, dense and int8, in
@@ -100,11 +91,5 @@ timeout 600 "${repo}/scripts/multiproc_smoke.sh" "${repo}/build-sanitize" 2 2 tc
 run_config "${repo}/build-tsan" \
   "ThreadPool|WaveScheduler|Obs|CheckpointResume|Server|Integration|Chaos|Faults|GoldenRun" \
   -DFEDCAV_SANITIZE=thread
-# Race-check the parallel kernels themselves: the same kernel suites the
-# plain build replays, but under TSan with a 4-worker kernel pool
-# attached via the FEDCAV_TEST_THREADS hook.
-echo "==> ctest kernel suites, FEDCAV_TEST_THREADS=4 (tsan)"
-FEDCAV_TEST_THREADS=4 ctest --test-dir "${repo}/build-tsan" \
-  --output-on-failure -j "${jobs}" -R "${kernel_filter}" "${ctest_args[@]}"
 
 echo "OK: plain, sanitized, and thread-sanitized tier-1 suites passed"

@@ -11,10 +11,9 @@
 // into the aggregation accumulator, slots i+1 … i+window-1 are already
 // training.
 //
-// The strict ascending consume order is the determinism contract's
-// second mode (DESIGN.md §13): the fold sequence a WaveScheduler drives
-// is bit-identical to a serial loop over the same slots, at any pool
-// size and any window ≥ 1.
+// The strict ascending consume order is a fixed-slot fold (DESIGN.md
+// §13): the fold sequence a WaveScheduler drives is bit-identical to a
+// serial loop over the same slots, at any pool size and any window ≥ 1.
 #pragma once
 
 #include <cstddef>

@@ -37,7 +37,7 @@ EvalResult evaluate(nn::Model& model, const data::Dataset& test,
 /// fixed slots: batch i's per-example predictions and loss land in slot
 /// i no matter which worker computed them, and the slots fold in
 /// ascending batch order — bit-identical to evaluate() at any pool
-/// size (DESIGN.md §13 fixed-slot contract). `weights` is loaded into
+/// size (DESIGN.md §13 fixed-slot evaluation). `weights` is loaded into
 /// every leased replica before it predicts.
 EvalResult evaluate(nn::ReplicaPool& replicas, const nn::Weights& weights,
                     const data::Dataset& test, ThreadPool& pool,

@@ -2,22 +2,9 @@
 
 #include <cmath>
 
-#include "src/tensor/parallel.hpp"
 #include "src/utils/error.hpp"
 
 namespace fedcav::nn {
-
-namespace {
-// Fan-out width for the elementwise tails. Each chunk owns a disjoint
-// output range (DESIGN.md §13), so any width is bit-identical; below
-// the threshold the fork/join costs more than the loop.
-constexpr std::size_t kElementwiseMinN = std::size_t{1} << 15;
-std::size_t elementwise_fanout(std::size_t n) {
-  const std::size_t ways = ops::kernel_ways();
-  if (ways <= 1 || n < kElementwiseMinN) return 1;
-  return ways;
-}
-}  // namespace
 
 const Tensor& ReLU::forward(const Tensor& input, bool training) {
   Tensor& out = ws_.get(kOut, input.shape());
@@ -27,20 +14,15 @@ const Tensor& ReLU::forward(const Tensor& input, bool training) {
   const float* __restrict__ pi = input.data();
   float* __restrict__ po = out.data();
   const std::size_t n = out.numel();
-  const std::size_t fan = elementwise_fanout(n);
   if (training) {
     float* __restrict__ pm = mask_.data();
-    ops::parallel_chunks(n, fan, [&](std::size_t i0, std::size_t i1, std::size_t) {
-      for (std::size_t i = i0; i < i1; ++i) {
-        const bool positive = pi[i] > 0.0f;
-        po[i] = positive ? pi[i] : 0.0f;
-        pm[i] = positive ? 1.0f : 0.0f;
-      }
-    });
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool positive = pi[i] > 0.0f;
+      po[i] = positive ? pi[i] : 0.0f;
+      pm[i] = positive ? 1.0f : 0.0f;
+    }
   } else {
-    ops::parallel_chunks(n, fan, [&](std::size_t i0, std::size_t i1, std::size_t) {
-      for (std::size_t i = i0; i < i1; ++i) po[i] = pi[i] > 0.0f ? pi[i] : 0.0f;
-    });
+    for (std::size_t i = 0; i < n; ++i) po[i] = pi[i] > 0.0f ? pi[i] : 0.0f;
   }
   return out;
 }
@@ -51,11 +33,7 @@ const Tensor& ReLU::backward(const Tensor& grad_output) {
   const float* __restrict__ pg = grad_output.data();
   float* __restrict__ pd = dx.data();
   const float* __restrict__ pm = mask_.data();
-  const std::size_t n = dx.numel();
-  ops::parallel_chunks(n, elementwise_fanout(n),
-                       [&](std::size_t i0, std::size_t i1, std::size_t) {
-                         for (std::size_t i = i0; i < i1; ++i) pd[i] = pg[i] * pm[i];
-                       });
+  for (std::size_t i = 0, n = dx.numel(); i < n; ++i) pd[i] = pg[i] * pm[i];
   return dx;
 }
 
@@ -92,11 +70,7 @@ const Tensor& Tanh::forward(const Tensor& input, bool training) {
   Tensor& out = ws_.get(kOut, input.shape());
   const float* pi = input.data();
   float* po = out.data();
-  const std::size_t n = out.numel();
-  ops::parallel_chunks(n, elementwise_fanout(n),
-                       [&](std::size_t i0, std::size_t i1, std::size_t) {
-                         for (std::size_t i = i0; i < i1; ++i) po[i] = std::tanh(pi[i]);
-                       });
+  for (std::size_t i = 0, n = out.numel(); i < n; ++i) po[i] = std::tanh(pi[i]);
   if (training) cached_output_ = out;
   return out;
 }
@@ -107,13 +81,9 @@ const Tensor& Tanh::backward(const Tensor& grad_output) {
   const float* pg = grad_output.data();
   float* pd = dx.data();
   const float* py = cached_output_.data();
-  const std::size_t n = dx.numel();
-  ops::parallel_chunks(n, elementwise_fanout(n),
-                       [&](std::size_t i0, std::size_t i1, std::size_t) {
-                         for (std::size_t i = i0; i < i1; ++i) {
-                           pd[i] = pg[i] * (1.0f - py[i] * py[i]);
-                         }
-                       });
+  for (std::size_t i = 0, n = dx.numel(); i < n; ++i) {
+    pd[i] = pg[i] * (1.0f - py[i] * py[i]);
+  }
   return dx;
 }
 

@@ -5,7 +5,6 @@
 
 #include "src/nn/init.hpp"
 #include "src/tensor/ops.hpp"
-#include "src/tensor/parallel.hpp"
 #include "src/utils/error.hpp"
 
 namespace fedcav::nn {
@@ -43,19 +42,6 @@ constexpr std::size_t kDirectMaxW = 16;
 // The row loads read a full vector from arbitrary kw offsets, so padded
 // buffers carry this much zeroed slack past the last plane.
 constexpr std::size_t kDirectSlack = kDirectMaxW;
-
-// Intra-op fan-out thresholds. Below kConvParallelMinFlops a layer call
-// stays on the single-thread path — the LeNet/MLP shapes lose more to
-// fork/join than they gain (and the golden digits/lenet5 run must keep
-// its exact serial schedule). The dW slice decomposition additionally
-// requires kDwSliceMinFlops, because slicing changes the fold order of
-// the per-image contributions (see backward_per_image).
-constexpr std::size_t kConvParallelMinFlops = std::size_t{1} << 21;
-constexpr std::size_t kDwSliceMinFlops = std::size_t{1} << 22;
-// Images per dW slice. The slice boundaries are a pure function of the
-// batch size — never of the worker count — so the slice-partial fold is
-// bit-identical at any thread count (DESIGN.md §13).
-constexpr std::size_t kDwSliceImages = 8;
 
 #if defined(__GNUC__) || defined(__clang__)
 #define FEDCAV_CONV_VECTOR_DIRECT 1
@@ -110,7 +96,7 @@ inline float lane_sum(const typename VecOf<W>::type& acc) {
 // W-long dependency chain (~4× lower latency at W=16). Used by the k==3
 // dW specialization, whose layers are tolerance-tested; the generic dW
 // walk keeps the ascending lane_sum above, whose order the golden
-// lenet5 run pins. Both orders are worker-count independent.
+// lenet5 run pins.
 template <std::size_t W>
 inline float lane_sum_tree(const typename VecOf<W>::type& acc) {
   float buf[W];
@@ -128,10 +114,10 @@ inline float lane_sum_tree(const typename VecOf<W>::type& acc) {
 // (ascending) order — the order the golden lenet5 run pins. The striped
 // variant runs kBiasStripes independent chains (vectorizable: ~8× the
 // throughput of the serial chain) and folds them in ascending stripe
-// order, then the tail — deterministic and worker-count independent,
-// but a DIFFERENT order, so it is gated on the BATCH size (a pure
-// function of the input shape): batches below kBiasStripeBatch keep the
-// serial chain, which the golden configurations (batch 10) sit below.
+// order, then the tail — deterministic, but a DIFFERENT order, so it is
+// gated on the BATCH size (a pure function of the input shape): batches
+// below kBiasStripeBatch keep the serial chain, which the golden
+// configurations (batch 10) sit below.
 constexpr std::size_t kBiasStripes = 16;
 constexpr std::size_t kBiasStripeBatch = 16;
 
@@ -378,13 +364,11 @@ void conv_fwd_padded(const float* pin, std::size_t pplane, std::size_t pw,
 
 // `nimg` padded images (pin/pg strides apart) are swept per call. The
 // k==3 specialization accumulates each tap's vector across ALL images
-// before its one horizontal fold — at 7-row planes the fold is ~half the
-// kernel's work when done per image, and the image count per call is a
-// pure function of the batch size (the dW slice), never of the worker
-// count. The generic-k walk folds PER IMAGE in ascending image order,
-// which is exactly the historical per-image call sequence the golden
-// lenet5 run pins (each dw scalar receives the same per-image partials
-// in the same order).
+// of the batch before its one horizontal fold — at 7-row planes the
+// fold is ~half the kernel's work when done per image. The generic-k
+// walk folds PER IMAGE in ascending image order, which is exactly the
+// historical per-image call sequence the golden lenet5 run pins (each
+// dw scalar receives the same per-image partials in the same order).
 template <std::size_t W, std::size_t C>
 inline void conv_dw_chans(const float* pin, std::size_t pin_stride,
                           std::size_t pplane, std::size_t pw, const float* pg,
@@ -639,15 +623,6 @@ void conv_dw_direct(const float* g, const float* cols, std::size_t oc,
   }
 }
 
-/// Fan-out width for disjoint-output batch work: 1 (serial) unless a
-/// kernel pool is attached, the work is divisible, and the layer is big
-/// enough to amortize the fork/join.
-std::size_t batch_fanout(std::size_t items, std::size_t total_flops) {
-  const std::size_t ways = ops::kernel_ways();
-  if (ways <= 1 || items < 2 || total_flops < kConvParallelMinFlops) return 1;
-  return std::min(ways, items);
-}
-
 }  // namespace
 
 Conv2D::Conv2D(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
@@ -698,8 +673,8 @@ std::size_t Conv2D::direct_width() const {
 // lane_sum instead of image order), which no golden-pinned geometry
 // observes — lenet5's convs are either wider than 8 (conv1) or fused
 // (conv2), so pair eligibility covers tolerance-tested layers only
-// (cnn9's 7×7-plane convs). Pairing is a pure function of the batch
-// index (b, b+1), never of the worker count.
+// (cnn9's 7×7-plane convs). Images pair as (2i, 2i+1); an odd batch's
+// last image runs alone with zero B lanes.
 bool Conv2D::use_pair() const {
   return use_direct() && 2 * geometry_.pad + 1 == geometry_.kernel_h &&
          geometry_.in_w + geometry_.pad <= 8;
@@ -739,65 +714,52 @@ bool Conv2D::use_fused() const {
 // Narrow planes: one column matrix for the whole batch, image b owning
 // columns [b·plane, (b+1)·plane). Rows stride by n, so W·cols is ONE
 // GEMM; a re-interleave pass folds the bias while scattering
-// (C_out × batch·plane) back to (batch × C_out × plane). The im2col and
-// re-interleave loops fan out over images (disjoint column blocks /
-// output blocks); the GEMM parallelizes internally over its j-tiles.
+// (C_out × batch·plane) back to (batch × C_out × plane).
 const Tensor& Conv2D::forward_fused(const Tensor& input, std::size_t batch) {
   const std::size_t oh = geometry_.out_h();
   const std::size_t ow = geometry_.out_w();
   const std::size_t plane = oh * ow;
   const std::size_t n = batch * plane;
   const std::size_t image_size = geometry_.in_channels * geometry_.in_h * geometry_.in_w;
-  const std::size_t flops = 2 * out_channels_ * n * geometry_.col_rows();
-  const std::size_t fan = batch_fanout(batch, flops);
 
-  // Pad each image once into per-chunk scratch, then lower with the
-  // branch-free padded walk — same values as the bounds-checked im2col,
-  // a fraction of its cost on the small planes this path owns.
+  // Pad each image once into scratch, then lower with the branch-free
+  // padded walk — same values as the bounds-checked im2col, a fraction
+  // of its cost on the small planes this path owns.
   const std::size_t ppw = geometry_.in_w + 2 * geometry_.pad;
   const std::size_t pplane = (geometry_.in_h + 2 * geometry_.pad) * ppw;
   Tensor& cols = ws_.get(kCols, Shape::of(geometry_.col_rows(), n));
-  arena_.reserve(fan);
-  ops::parallel_chunks(batch, fan, [&](std::size_t b0, std::size_t b1,
-                                       std::size_t chunk) {
-    Tensor& pin = arena_.slot(chunk).zeroed_once(
-        kPadIn, Shape::of(geometry_.in_channels * pplane + kDirectSlack));
-    for (std::size_t b = b0; b < b1; ++b) {
-      pad_planes(input.data() + b * image_size, input.numel() - b * image_size,
-                 geometry_.in_channels, geometry_.in_h, geometry_.in_w,
-                 geometry_.pad, /*extra_right=*/0, pin.data());
-      im2col_padded(geometry_, pin.data(), cols.data() + b * plane, n);
-    }
-  });
+  Tensor& pin = ws_.zeroed_once(
+      kPadIn, Shape::of(geometry_.in_channels * pplane + kDirectSlack));
+  for (std::size_t b = 0; b < batch; ++b) {
+    pad_planes(input.data() + b * image_size, input.numel() - b * image_size,
+               geometry_.in_channels, geometry_.in_h, geometry_.in_w,
+               geometry_.pad, /*extra_right=*/0, pin.data());
+    im2col_padded(geometry_, pin.data(), cols.data() + b * plane, n);
+  }
 
   Tensor& gemm_out = ws_.get(kGemmOut, Shape::of(out_channels_, n));
   ops::gemm_prepacked(packed_w_, ops::Trans::kNo, n, cols.data(), n,
                       /*beta=*/0.0f, gemm_out.data(), n);
 
   Tensor& out = ws_.get(kOut, Shape::of(batch, out_channels_, oh, ow));
-  ops::parallel_chunks(batch, fan, [&](std::size_t b0, std::size_t b1,
-                                       std::size_t) {
-    for (std::size_t b = b0; b < b1; ++b) {
-      float* dst_img = out.data() + b * out_channels_ * plane;
-      for (std::size_t c = 0; c < out_channels_; ++c) {
-        const float bc = bias_(c);
-        const float* src = gemm_out.data() + c * n + b * plane;
-        float* d = dst_img + c * plane;
-        for (std::size_t i = 0; i < plane; ++i) d[i] = src[i] + bc;
-      }
+  for (std::size_t b = 0; b < batch; ++b) {
+    float* dst_img = out.data() + b * out_channels_ * plane;
+    for (std::size_t c = 0; c < out_channels_; ++c) {
+      const float bc = bias_(c);
+      const float* src = gemm_out.data() + c * n + b * plane;
+      float* d = dst_img + c * plane;
+      for (std::size_t i = 0; i < plane; ++i) d[i] = src[i] + bc;
     }
-  });
+  }
   return out;
 }
 
 // Wide planes, per image. Small stride-1 kernels run the direct padded
 // kernels (no lowering at all); the rest lower one image at a time into
 // an L1-resident column scratch and GEMM straight into the output tensor
-// (ldc = plane) — no wide intermediate, no re-interleave. The batch
-// fans out over the kernel pool; each chunk pads/lowers into its own
-// arena workspace and writes only its own images' output block, so any
-// chunk count is bit-identical. Training caches the INPUT (k² smaller
-// than its expansion); backward re-lowers or re-pads per image.
+// (ldc = plane) — no wide intermediate, no re-interleave. Training
+// caches the INPUT (k² smaller than its expansion); backward re-lowers
+// or re-pads per image.
 const Tensor& Conv2D::forward_per_image(const Tensor& input, std::size_t batch,
                                         bool training) {
   const std::size_t oh = geometry_.out_h();
@@ -805,8 +767,6 @@ const Tensor& Conv2D::forward_per_image(const Tensor& input, std::size_t batch,
   const std::size_t plane = oh * ow;
   const std::size_t cr = geometry_.col_rows();
   const std::size_t image_size = geometry_.in_channels * geometry_.in_h * geometry_.in_w;
-  const std::size_t flops = 2 * out_channels_ * plane * cr * batch;
-  const std::size_t fan = batch_fanout(batch, flops);
 
   if (training) cached_in_ = input;  // capacity-reusing copy
   Tensor& out = ws_.get(kOut, Shape::of(batch, out_channels_, oh, ow));
@@ -821,86 +781,68 @@ const Tensor& Conv2D::forward_per_image(const Tensor& input, std::size_t batch,
       // one 16-lane-row buffer, run the W = 16 forward on it with a
       // full-width store into the pair scratch, then de-interleave the
       // two images' rows. Per-lane math matches the 8-lane per-image
-      // walk exactly, so this is bit-identical to it at any fan-out.
+      // walk exactly, so this is bit-identical to it.
       const std::size_t ph = geometry_.in_h + 2 * pad;
-      const std::size_t pairs = (batch + 1) / 2;
-      const std::size_t pfan = batch_fanout(pairs, flops);
-      arena_.reserve(pfan);
-      ops::parallel_chunks(pairs, pfan, [&](std::size_t p0, std::size_t p1,
-                                            std::size_t chunk) {
-        Workspace& pws = arena_.slot(chunk);
-        Tensor& pin = pws.zeroed_once(
-            kPadIn, Shape::of(geometry_.in_channels * ph * 16 + kDirectSlack));
-        Tensor& sc = pws.get(kPairOut, Shape::of(out_channels_ * oh * 16));
-        for (std::size_t p = p0; p < p1; ++p) {
-          const std::size_t bA = 2 * p;
-          const bool has_b = bA + 1 < batch;
-          pad_planes_pair(input.data() + bA * image_size,
-                          has_b ? input.data() + (bA + 1) * image_size : nullptr,
-                          geometry_.in_channels, geometry_.in_h,
-                          geometry_.in_w, pad, pin.data());
-          conv_fwd_padded<16>(pin.data(), ph * 16, 16, weight_.data(),
-                              bias_.data(), out_channels_,
-                              geometry_.in_channels, k, oh, /*ow=*/16,
-                              sc.data());
-          for (std::size_t c = 0; c < out_channels_; ++c) {
-            for (std::size_t y = 0; y < oh; ++y) {
-              const float* __restrict__ srow = sc.data() + (c * oh + y) * 16;
-              float* __restrict__ da =
-                  out.data() + ((bA * out_channels_ + c) * oh + y) * ow;
-              for (std::size_t x = 0; x < ow; ++x) da[x] = srow[x];
-              if (has_b) {
-                float* __restrict__ db =
-                    out.data() + (((bA + 1) * out_channels_ + c) * oh + y) * ow;
-                for (std::size_t x = 0; x < ow; ++x) db[x] = srow[8 + x];
-              }
+      Tensor& pin = ws_.zeroed_once(
+          kPadIn, Shape::of(geometry_.in_channels * ph * 16 + kDirectSlack));
+      Tensor& sc = ws_.get(kPairOut, Shape::of(out_channels_ * oh * 16));
+      for (std::size_t bA = 0; bA < batch; bA += 2) {
+        const bool has_b = bA + 1 < batch;
+        pad_planes_pair(input.data() + bA * image_size,
+                        has_b ? input.data() + (bA + 1) * image_size : nullptr,
+                        geometry_.in_channels, geometry_.in_h, geometry_.in_w,
+                        pad, pin.data());
+        conv_fwd_padded<16>(pin.data(), ph * 16, 16, weight_.data(),
+                            bias_.data(), out_channels_, geometry_.in_channels,
+                            k, oh, /*ow=*/16, sc.data());
+        for (std::size_t c = 0; c < out_channels_; ++c) {
+          for (std::size_t y = 0; y < oh; ++y) {
+            const float* __restrict__ srow = sc.data() + (c * oh + y) * 16;
+            float* __restrict__ da =
+                out.data() + ((bA * out_channels_ + c) * oh + y) * ow;
+            for (std::size_t x = 0; x < ow; ++x) da[x] = srow[x];
+            if (has_b) {
+              float* __restrict__ db =
+                  out.data() + (((bA + 1) * out_channels_ + c) * oh + y) * ow;
+              for (std::size_t x = 0; x < ow; ++x) db[x] = srow[8 + x];
             }
           }
         }
-      });
+      }
       return out;
     }
-    arena_.reserve(fan);
-    ops::parallel_chunks(batch, fan, [&](std::size_t b0, std::size_t b1,
-                                         std::size_t chunk) {
-      Tensor& pin = arena_.slot(chunk).zeroed_once(
-          kPadIn, Shape::of(geometry_.in_channels * pplane + kDirectSlack));
-      for (std::size_t b = b0; b < b1; ++b) {
-        // Copied even for pad == 0: the vector row loads overrun into the
-        // buffer's zeroed slack, which the raw input tensor doesn't have.
-        pad_planes(input.data() + b * image_size, input.numel() - b * image_size,
-                   geometry_.in_channels, geometry_.in_h, geometry_.in_w, pad,
-                   /*extra_right=*/0, pin.data());
-        float* ob = out.data() + b * out_channels_ * plane;
-        if (width == 8) {
-          conv_fwd_padded<8>(pin.data(), pplane, pw, weight_.data(),
-                             bias_.data(), out_channels_, geometry_.in_channels,
-                             k, oh, ow, ob);
-        } else {
-          conv_fwd_padded<16>(pin.data(), pplane, pw, weight_.data(),
-                              bias_.data(), out_channels_,
-                              geometry_.in_channels, k, oh, ow, ob);
-        }
-      }
-    });
-    return out;
-  }
-  arena_.reserve(fan);
-  ops::parallel_chunks(batch, fan, [&](std::size_t b0, std::size_t b1,
-                                       std::size_t chunk) {
-    Tensor& cols = arena_.slot(chunk).get(kCols, Shape::of(cr, plane));
-    for (std::size_t b = b0; b < b1; ++b) {
-      im2col(geometry_, input.data() + b * image_size, cols.data(), plane);
+    Tensor& pin = ws_.zeroed_once(
+        kPadIn, Shape::of(geometry_.in_channels * pplane + kDirectSlack));
+    for (std::size_t b = 0; b < batch; ++b) {
+      // Copied even for pad == 0: the vector row loads overrun into the
+      // buffer's zeroed slack, which the raw input tensor doesn't have.
+      pad_planes(input.data() + b * image_size, input.numel() - b * image_size,
+                 geometry_.in_channels, geometry_.in_h, geometry_.in_w, pad,
+                 /*extra_right=*/0, pin.data());
       float* ob = out.data() + b * out_channels_ * plane;
-      ops::gemm_prepacked(packed_w_, ops::Trans::kNo, plane, cols.data(), plane,
-                          /*beta=*/0.0f, ob, plane);
-      for (std::size_t c = 0; c < out_channels_; ++c) {
-        const float bc = bias_(c);
-        float* d = ob + c * plane;
-        for (std::size_t i = 0; i < plane; ++i) d[i] += bc;
+      if (width == 8) {
+        conv_fwd_padded<8>(pin.data(), pplane, pw, weight_.data(), bias_.data(),
+                           out_channels_, geometry_.in_channels, k, oh, ow, ob);
+      } else {
+        conv_fwd_padded<16>(pin.data(), pplane, pw, weight_.data(),
+                            bias_.data(), out_channels_, geometry_.in_channels,
+                            k, oh, ow, ob);
       }
     }
-  });
+    return out;
+  }
+  Tensor& cols = ws_.get(kCols, Shape::of(cr, plane));
+  for (std::size_t b = 0; b < batch; ++b) {
+    im2col(geometry_, input.data() + b * image_size, cols.data(), plane);
+    float* ob = out.data() + b * out_channels_ * plane;
+    ops::gemm_prepacked(packed_w_, ops::Trans::kNo, plane, cols.data(), plane,
+                        /*beta=*/0.0f, ob, plane);
+    for (std::size_t c = 0; c < out_channels_; ++c) {
+      const float bc = bias_(c);
+      float* d = ob + c * plane;
+      for (std::size_t i = 0; i < plane; ++i) d[i] += bc;
+    }
+  }
   return out;
 }
 
@@ -926,32 +868,23 @@ const Tensor& Conv2D::backward_fused(const Tensor& grad_output, std::size_t batc
   const Tensor& cols = ws_.at(kCols);  // the training forward's expansion
   FEDCAV_REQUIRE(cols.shape() == Shape::of(geometry_.col_rows(), n),
                  "Conv2D::backward: stale column matrix (intervening forward?)");
-  const std::size_t flops = 2 * out_channels_ * n * geometry_.col_rows();
-  const std::size_t fan = batch_fanout(batch, flops);
 
   // View the batch's output gradient as one (C_out × batch·plane) matrix
   // matching the column layout — a strided re-interleave, not a per-image
-  // heap copy — and fold the bias row-sums into the same pass. Fans out
-  // over CHANNELS: each chunk owns whole rows of g and whole bias_grad_
-  // entries, and the per-channel batch-order sum is untouched, so any
-  // chunk count is bit-identical.
+  // heap copy — and fold the bias row-sums into the same pass.
   Tensor& g = ws_.get(kGmat, Shape::of(out_channels_, n));
-  ops::parallel_chunks(
-      out_channels_, std::min(batch_fanout(out_channels_, flops), out_channels_),
-      [&](std::size_t c0, std::size_t c1, std::size_t) {
-        for (std::size_t c = c0; c < c1; ++c) {
-          float* grow = g.data() + c * n;
-          for (std::size_t b = 0; b < batch; ++b) {
-            const float* __restrict__ src =
-                grad_output.data() + (b * out_channels_ + c) * plane;
-            float* __restrict__ dst = grow + b * plane;
-            for (std::size_t i = 0; i < plane; ++i) dst[i] = src[i];
-          }
-          // Summed over the re-interleaved row, which is the same
-          // ascending (b, i) order the interleaved fold used.
-          bias_grad_(c) += static_cast<float>(sum_rows(grow, 1, n, 0, batch));
-        }
-      });
+  for (std::size_t c = 0; c < out_channels_; ++c) {
+    float* grow = g.data() + c * n;
+    for (std::size_t b = 0; b < batch; ++b) {
+      const float* __restrict__ src =
+          grad_output.data() + (b * out_channels_ + c) * plane;
+      float* __restrict__ dst = grow + b * plane;
+      for (std::size_t i = 0; i < plane; ++i) dst[i] = src[i];
+    }
+    // Summed over the re-interleaved row, which is the same ascending
+    // (b, i) order the interleaved fold used.
+    bias_grad_(c) += static_cast<float>(sum_rows(grow, 1, n, 0, batch));
+  }
 
   // dW += G · colsᵀ  ((C_out × batch·plane) · (batch·plane × col_rows)):
   // one whole-batch GEMM accumulated straight into the grad buffer.
@@ -968,44 +901,33 @@ const Tensor& Conv2D::backward_fused(const Tensor& grad_output, std::size_t batc
   // scratch (branch-free), then unpad into dx. Per-pixel accumulation
   // order matches the plain col2im's (kh, kw) walk and dx blocks start
   // from zero, so the result is bit-identical to the bounds-checked
-  // scatter at any fan-out.
+  // scatter.
   const std::size_t ppw = geometry_.in_w + 2 * geometry_.pad;
   const std::size_t pplane = (geometry_.in_h + 2 * geometry_.pad) * ppw;
   const std::size_t pbytes =
       geometry_.in_channels * pplane * sizeof(float);
   Tensor& dx = ws_.get(kDx, in_shape_);
-  arena_.reserve(fan);
-  ops::parallel_chunks(batch, fan, [&](std::size_t b0, std::size_t b1,
-                                       std::size_t chunk) {
-    Tensor& pg = arena_.slot(chunk).get(
-        kPadG, Shape::of(geometry_.in_channels * pplane));
-    for (std::size_t b = b0; b < b1; ++b) {
-      std::memset(pg.data(), 0, pbytes);
-      col2im_padded(geometry_, dcols.data() + b * plane, n, pg.data());
-      float* __restrict__ dimg = dx.data() + b * image_size;
-      for (std::size_t c = 0; c < geometry_.in_channels; ++c) {
-        for (std::size_t y = 0; y < geometry_.in_h; ++y) {
-          const float* __restrict__ s = pg.data() + c * pplane +
-                                        (y + geometry_.pad) * ppw +
-                                        geometry_.pad;
-          float* __restrict__ d = dimg + (c * geometry_.in_h + y) * geometry_.in_w;
-          for (std::size_t x = 0; x < geometry_.in_w; ++x) d[x] = s[x];
-        }
+  Tensor& pg = ws_.get(kPadG, Shape::of(geometry_.in_channels * pplane));
+  for (std::size_t b = 0; b < batch; ++b) {
+    std::memset(pg.data(), 0, pbytes);
+    col2im_padded(geometry_, dcols.data() + b * plane, n, pg.data());
+    float* __restrict__ dimg = dx.data() + b * image_size;
+    for (std::size_t c = 0; c < geometry_.in_channels; ++c) {
+      for (std::size_t y = 0; y < geometry_.in_h; ++y) {
+        const float* __restrict__ s = pg.data() + c * pplane +
+                                      (y + geometry_.pad) * ppw +
+                                      geometry_.pad;
+        float* __restrict__ d = dimg + (c * geometry_.in_h + y) * geometry_.in_w;
+        for (std::size_t x = 0; x < geometry_.in_w; ++x) d[x] = s[x];
       }
     }
-  });
+  }
   return dx;
 }
 
 // Wide planes: the incoming gradient already IS per-image (C_out × plane)
-// matrices — no re-interleave, no copy. The batch is decomposed into
-// FIXED slices of kDwSliceImages images (a pure function of the batch
-// size): each slice accumulates its dW contribution into its own panel
-// (slice 0 directly into weight_grad_), and the slice partials are then
-// folded in ascending slice order — bit-identical at any worker count.
-// Small layers keep one slice, i.e. exactly the historical serial fold.
-// dx output blocks are per-image and therefore disjoint regardless of
-// slicing.
+// matrices — no re-interleave, no copy. dW accumulates straight into
+// weight_grad_ over the whole batch; dx output blocks are per-image.
 const Tensor& Conv2D::backward_per_image(const Tensor& grad_output, std::size_t batch) {
   const std::size_t plane = geometry_.col_cols();
   const std::size_t cr = geometry_.col_rows();
@@ -1014,205 +936,149 @@ const Tensor& Conv2D::backward_per_image(const Tensor& grad_output, std::size_t 
   const std::size_t image_size = geometry_.in_channels * geometry_.in_h * geometry_.in_w;
   FEDCAV_REQUIRE(cached_in_.shape() == in_shape_,
                  "Conv2D::backward: stale cached input (intervening forward?)");
-  const std::size_t dw_flops = 2 * out_channels_ * plane * cr * batch;
 
-  ops::parallel_chunks(
-      out_channels_,
-      std::min(batch_fanout(out_channels_, dw_flops), out_channels_),
-      [&](std::size_t c0, std::size_t c1, std::size_t) {
-        for (std::size_t c = c0; c < c1; ++c) {
-          bias_grad_(c) += static_cast<float>(
-              sum_rows(grad_output.data() + c * plane, batch, plane,
-                       out_channels_ * plane, batch));
-        }
-      });
+  for (std::size_t c = 0; c < out_channels_; ++c) {
+    bias_grad_(c) += static_cast<float>(
+        sum_rows(grad_output.data() + c * plane, batch, plane,
+                 out_channels_ * plane, batch));
+  }
 
-  // Shape-derived slice decomposition (never worker-derived): slicing
-  // changes the dW fold order versus the one-slice serial walk, so it is
-  // gated on layer size — the golden lenet5/digits configuration stays
-  // below the gate and keeps its historical numerics exactly.
-  const bool sliced = batch > kDwSliceImages && dw_flops >= kDwSliceMinFlops;
-  const std::size_t n_slices =
-      sliced ? (batch + kDwSliceImages - 1) / kDwSliceImages : 1;
-  const std::size_t slice_step = sliced ? kDwSliceImages : batch;
-  arena_.reserve(n_slices);
+  if (!use_direct()) {
+    Tensor& dx = ws_.zeroed(kDx, in_shape_);
+    Tensor& cols = ws_.get(kCols, Shape::of(cr, plane));
+    Tensor& dcols = ws_.get(kDcols, Shape::of(cr, plane));
+    // dW via plain dots when the panel is tiny.
+    const bool direct_dw = out_channels_ * cr <= 256;
+    for (std::size_t b = 0; b < batch; ++b) {
+      const float* gb = grad_output.data() + b * out_channels_ * plane;
+      im2col(geometry_, cached_in_.data() + b * image_size, cols.data(), plane);
+      // dW += g_b · cols_bᵀ.
+      if (direct_dw) {
+        conv_dw_direct(gb, cols.data(), out_channels_, cr, plane,
+                       weight_grad_.data());
+      } else {
+        ops::pack_a_into(ops::Trans::kNo, out_channels_, plane, gb, plane,
+                         packed_g_);
+        ops::gemm_prepacked(packed_g_, ops::Trans::kYes, cr, cols.data(), plane,
+                            /*beta=*/1.0f, weight_grad_.data(), cr);
+      }
+      // dcols_b = Wᵀ · g_b, then scatter-add into the zeroed image gradient.
+      ops::gemm_prepacked(packed_wt_, ops::Trans::kNo, plane, gb, plane,
+                          /*beta=*/0.0f, dcols.data(), plane);
+      col2im(geometry_, dcols.data(), plane, dx.data() + b * image_size);
+    }
+    return dx;
+  }
 
-  const bool direct = use_direct();
+  // Direct path. The dx kernels overwrite every element, so dx needs no
+  // zero pass. The whole batch is padded before the kernels: one dW sweep
+  // over all images amortizes each tap's horizontal fold across them
+  // (k==3 layers) or walks them in the pinned per-image order (generic
+  // k) — see conv_dw_chans. The batch buffers have their own kPadInBatch
+  // slot, apart from the forward's one-image kPadIn, so both keep a fixed
+  // shape and zeroed_once zeroes each only once.
+  Tensor& dx = ws_.get(kDx, in_shape_);
   const std::size_t k = geometry_.kernel_h;
-  const std::size_t tpad = k - 1 - geometry_.pad;  // transpose-conv padding
-  const std::size_t width = direct ? direct_width() : 0;
+  const std::size_t pad = geometry_.pad;
+  const std::size_t tpad = k - 1 - pad;  // transpose-conv padding
+  if (use_pair()) {
+    // Pair-interleaved backward (see use_pair()): pad the gradient and
+    // input pairs into 16-lane rows, run ONE dW sweep over all of them,
+    // then the dx kernel per pair into a 16-wide scratch de-interleaved
+    // below. tpad == pad for these "same" geometries, so one pair layout
+    // serves all three roles.
+    const std::size_t ph = geometry_.in_h + 2 * pad;
+    const std::size_t pgh = oh + 2 * tpad;
+    const std::size_t nbuf = (batch + 1) / 2;
+    const std::size_t pin_stride = geometry_.in_channels * ph * 16;
+    const std::size_t pg_stride = out_channels_ * pgh * 16;
+    Tensor& pg =
+        ws_.zeroed_once(kPadG, Shape::of(nbuf * pg_stride + kDirectSlack));
+    Tensor& pin =
+        ws_.zeroed_once(kPadInBatch, Shape::of(nbuf * pin_stride + kDirectSlack));
+    Tensor& sc = ws_.get(
+        kPairOut, Shape::of(geometry_.in_channels * geometry_.in_h * 16));
+    for (std::size_t i = 0; i < nbuf; ++i) {
+      const std::size_t b = 2 * i;
+      const bool has_b = b + 1 < batch;
+      const float* gb = grad_output.data() + b * out_channels_ * plane;
+      pad_planes_pair(gb, has_b ? gb + out_channels_ * plane : nullptr,
+                      out_channels_, oh, ow, tpad, pg.data() + i * pg_stride);
+      const float* ib = cached_in_.data() + b * image_size;
+      pad_planes_pair(ib, has_b ? ib + image_size : nullptr,
+                      geometry_.in_channels, geometry_.in_h, geometry_.in_w,
+                      pad, pin.data() + i * pin_stride);
+    }
+    conv_dw_padded<16>(pin.data(), pin_stride, ph * 16, 16, pg.data(),
+                       pg_stride, pgh * 16, 16, nbuf, tpad, out_channels_,
+                       geometry_.in_channels, k, oh, ow, weight_grad_.data());
+    for (std::size_t i = 0; i < nbuf; ++i) {
+      const std::size_t b = 2 * i;
+      const bool has_b = b + 1 < batch;
+      conv_bwd_dx_padded<16>(pg.data() + i * pg_stride, pgh * 16, 16,
+                             weight_.data(), out_channels_,
+                             geometry_.in_channels, k, geometry_.in_h,
+                             /*wid=*/16, sc.data());
+      for (std::size_t ci = 0; ci < geometry_.in_channels; ++ci) {
+        for (std::size_t y = 0; y < geometry_.in_h; ++y) {
+          const float* __restrict__ srow =
+              sc.data() + (ci * geometry_.in_h + y) * 16;
+          float* __restrict__ da = dx.data() + b * image_size +
+                                   (ci * geometry_.in_h + y) * geometry_.in_w;
+          for (std::size_t x = 0; x < geometry_.in_w; ++x) da[x] = srow[x];
+          if (has_b) {
+            float* __restrict__ db = da + image_size;
+            for (std::size_t x = 0; x < geometry_.in_w; ++x) db[x] = srow[8 + x];
+          }
+        }
+      }
+    }
+    return dx;
+  }
+  const std::size_t width = direct_width();
   // conv_dw_padded sums FULL vectors of each gradient row, so every row
   // must be followed by at least (width - ow) zeros before the next
   // row's data; pad_planes right-extends the rows to guarantee it.
-  const std::size_t extra_right = direct && width > ow ? width - ow : 0;
+  const std::size_t extra_right = width > ow ? width - ow : 0;
   const std::size_t pgw = ow + 2 * tpad + extra_right;
   const std::size_t pgplane = (oh + 2 * tpad) * pgw;
-  const std::size_t pad = geometry_.pad;
   const std::size_t pw = geometry_.in_w + 2 * pad;
   const std::size_t pplane = (geometry_.in_h + 2 * pad) * pw;
-  // dW via plain dots when the panel is tiny (non-direct path only).
-  const bool direct_dw = out_channels_ * cr <= 256;
-
-  Tensor& dx = direct ? ws_.get(kDx, in_shape_) : ws_.zeroed(kDx, in_shape_);
-  ops::parallel_chunks(n_slices, n_slices, [&](std::size_t s0, std::size_t s1,
-                                               std::size_t) {
-    for (std::size_t s = s0; s < s1; ++s) {
-      const std::size_t b_begin = s * slice_step;
-      const std::size_t b_end = std::min(batch, b_begin + slice_step);
-      Workspace& ws = arena_.slot(s);
-      // Slice 0 folds straight into weight_grad_ (the historical target);
-      // later slices accumulate into a zeroed partial panel.
-      float* dw_target = weight_grad_.data();
-      if (s != 0) {
-        dw_target =
-            ws.zeroed(kGmat, Shape::of(out_channels_, cr)).data();
-      }
-      if (direct && use_pair()) {
-        // Pair-interleaved backward (see use_pair()): pad the slice's
-        // gradient and input pairs into 16-lane rows, run ONE dW sweep
-        // over all of them (the k==3 kernel folds each tap once per
-        // slice), then the dx kernel per pair into a 16-wide scratch
-        // de-interleaved below. tpad == pad for these "same" geometries,
-        // so one pair layout serves all three roles.
-        const std::size_t ph = geometry_.in_h + 2 * pad;
-        const std::size_t pgh = oh + 2 * tpad;
-        const std::size_t nbuf = (b_end - b_begin + 1) / 2;
-        const std::size_t pin_stride = geometry_.in_channels * ph * 16;
-        const std::size_t pg_stride = out_channels_ * pgh * 16;
-        Tensor& pg =
-            ws.zeroed_once(kPadG, Shape::of(nbuf * pg_stride + kDirectSlack));
-        Tensor& pin =
-            ws.zeroed_once(kPadIn, Shape::of(nbuf * pin_stride + kDirectSlack));
-        Tensor& sc = ws.get(
-            kPairOut, Shape::of(geometry_.in_channels * geometry_.in_h * 16));
-        for (std::size_t i = 0; i < nbuf; ++i) {
-          const std::size_t b = b_begin + 2 * i;
-          const bool has_b = b + 1 < b_end;
-          const float* gb = grad_output.data() + b * out_channels_ * plane;
-          pad_planes_pair(gb, has_b ? gb + out_channels_ * plane : nullptr,
-                          out_channels_, oh, ow, tpad,
-                          pg.data() + i * pg_stride);
-          const float* ib = cached_in_.data() + b * image_size;
-          pad_planes_pair(ib, has_b ? ib + image_size : nullptr,
-                          geometry_.in_channels, geometry_.in_h,
-                          geometry_.in_w, pad, pin.data() + i * pin_stride);
-        }
-        conv_dw_padded<16>(pin.data(), pin_stride, ph * 16, 16, pg.data(),
-                           pg_stride, pgh * 16, 16, nbuf, tpad, out_channels_,
-                           geometry_.in_channels, k, oh, ow, dw_target);
-        for (std::size_t i = 0; i < nbuf; ++i) {
-          const std::size_t b = b_begin + 2 * i;
-          const bool has_b = b + 1 < b_end;
-          conv_bwd_dx_padded<16>(pg.data() + i * pg_stride, pgh * 16, 16,
-                                 weight_.data(), out_channels_,
-                                 geometry_.in_channels, k, geometry_.in_h,
-                                 /*wid=*/16, sc.data());
-          for (std::size_t ci = 0; ci < geometry_.in_channels; ++ci) {
-            for (std::size_t y = 0; y < geometry_.in_h; ++y) {
-              const float* __restrict__ srow =
-                  sc.data() + (ci * geometry_.in_h + y) * 16;
-              float* __restrict__ da =
-                  dx.data() + b * image_size +
-                  (ci * geometry_.in_h + y) * geometry_.in_w;
-              for (std::size_t x = 0; x < geometry_.in_w; ++x) da[x] = srow[x];
-              if (has_b) {
-                float* __restrict__ db = da + image_size;
-                for (std::size_t x = 0; x < geometry_.in_w; ++x) {
-                  db[x] = srow[8 + x];
-                }
-              }
-            }
-          }
-        }
-        continue;
-      }
-      if (direct) {
-        // Pad the whole slice before the kernels: one dW sweep over the
-        // slice's images amortizes each tap's horizontal fold across
-        // them (k==3 layers) or walks them in the pinned per-image
-        // order (generic k) — see conv_dw_chans.
-        const std::size_t nimg = b_end - b_begin;
-        const std::size_t pin_stride = geometry_.in_channels * pplane;
-        const std::size_t pg_stride = out_channels_ * pgplane;
-        Tensor& pg =
-            ws.zeroed_once(kPadG, Shape::of(nimg * pg_stride + kDirectSlack));
-        Tensor& pin =
-            ws.zeroed_once(kPadIn, Shape::of(nimg * pin_stride + kDirectSlack));
-        for (std::size_t i = 0; i < nimg; ++i) {
-          const std::size_t b = b_begin + i;
-          pad_planes(grad_output.data() + b * out_channels_ * plane,
-                     grad_output.numel() - b * out_channels_ * plane,
-                     out_channels_, oh, ow, tpad, extra_right,
-                     pg.data() + i * pg_stride);
-          pad_planes(cached_in_.data() + b * image_size,
-                     cached_in_.numel() - b * image_size, geometry_.in_channels,
-                     geometry_.in_h, geometry_.in_w, pad, /*extra_right=*/0,
-                     pin.data() + i * pin_stride);
-        }
-        if (width == 8) {
-          conv_dw_padded<8>(pin.data(), pin_stride, pplane, pw, pg.data(),
-                            pg_stride, pgplane, pgw, nimg, tpad, out_channels_,
-                            geometry_.in_channels, k, oh, ow, dw_target);
-          for (std::size_t i = 0; i < nimg; ++i) {
-            conv_bwd_dx_padded<8>(pg.data() + i * pg_stride, pgplane, pgw,
-                                  weight_.data(), out_channels_,
-                                  geometry_.in_channels, k, geometry_.in_h,
-                                  geometry_.in_w,
-                                  dx.data() + (b_begin + i) * image_size);
-          }
-        } else {
-          conv_dw_padded<16>(pin.data(), pin_stride, pplane, pw, pg.data(),
-                             pg_stride, pgplane, pgw, nimg, tpad,
-                             out_channels_, geometry_.in_channels, k, oh, ow,
-                             dw_target);
-          for (std::size_t i = 0; i < nimg; ++i) {
-            conv_bwd_dx_padded<16>(pg.data() + i * pg_stride, pgplane, pgw,
-                                   weight_.data(), out_channels_,
-                                   geometry_.in_channels, k, geometry_.in_h,
-                                   geometry_.in_w,
-                                   dx.data() + (b_begin + i) * image_size);
-          }
-        }
-        continue;
-      }
-      Tensor& cols = ws.get(kCols, Shape::of(cr, plane));
-      Tensor& dcols = ws.get(kDcols, Shape::of(cr, plane));
-      // Per-worker packing scratch for the dW GEMM variant: the member
-      // PackedA would race across slices.
-      thread_local ops::PackedA tl_packed_g;
-      for (std::size_t b = b_begin; b < b_end; ++b) {
-        const float* gb = grad_output.data() + b * out_channels_ * plane;
-        im2col(geometry_, cached_in_.data() + b * image_size, cols.data(),
-               plane);
-        // dW += g_b · cols_bᵀ.
-        if (direct_dw) {
-          conv_dw_direct(gb, cols.data(), out_channels_, cr, plane, dw_target);
-        } else {
-          ops::pack_a_into(ops::Trans::kNo, out_channels_, plane, gb, plane,
-                           tl_packed_g);
-          ops::gemm_prepacked(tl_packed_g, ops::Trans::kYes, cr, cols.data(),
-                              plane, /*beta=*/1.0f, dw_target, cr);
-        }
-        // dcols_b = Wᵀ · g_b, then scatter-add into the image gradient
-        // (zeroed before the fan-out; each image's block is disjoint).
-        ops::gemm_prepacked(packed_wt_, ops::Trans::kNo, plane, gb, plane,
-                            /*beta=*/0.0f, dcols.data(), plane);
-        col2im(geometry_, dcols.data(), plane, dx.data() + b * image_size);
-      }
-    }
-  });
-  // Fold the slice partials in ascending slice order — the fixed-slot
-  // reduction that makes the decomposition worker-count independent.
-  for (std::size_t s = 1; s < n_slices; ++s) {
-    const Tensor& partial = arena_.slot(s).at(kGmat);
-    float* __restrict__ dst = weight_grad_.data();
-    const float* __restrict__ src = partial.data();
-    const std::size_t count = out_channels_ * cr;
-    for (std::size_t i = 0; i < count; ++i) dst[i] += src[i];
+  const std::size_t pin_stride = geometry_.in_channels * pplane;
+  const std::size_t pg_stride = out_channels_ * pgplane;
+  Tensor& pg =
+      ws_.zeroed_once(kPadG, Shape::of(batch * pg_stride + kDirectSlack));
+  Tensor& pin =
+      ws_.zeroed_once(kPadInBatch, Shape::of(batch * pin_stride + kDirectSlack));
+  for (std::size_t b = 0; b < batch; ++b) {
+    pad_planes(grad_output.data() + b * out_channels_ * plane,
+               grad_output.numel() - b * out_channels_ * plane, out_channels_,
+               oh, ow, tpad, extra_right, pg.data() + b * pg_stride);
+    pad_planes(cached_in_.data() + b * image_size,
+               cached_in_.numel() - b * image_size, geometry_.in_channels,
+               geometry_.in_h, geometry_.in_w, pad, /*extra_right=*/0,
+               pin.data() + b * pin_stride);
   }
-  if (direct) {
-    // The direct dx kernels overwrite every element (no scatter-add), so
-    // dx needed no zero pass; nothing else to do.
+  if (width == 8) {
+    conv_dw_padded<8>(pin.data(), pin_stride, pplane, pw, pg.data(), pg_stride,
+                      pgplane, pgw, batch, tpad, out_channels_,
+                      geometry_.in_channels, k, oh, ow, weight_grad_.data());
+    for (std::size_t b = 0; b < batch; ++b) {
+      conv_bwd_dx_padded<8>(pg.data() + b * pg_stride, pgplane, pgw,
+                            weight_.data(), out_channels_,
+                            geometry_.in_channels, k, geometry_.in_h,
+                            geometry_.in_w, dx.data() + b * image_size);
+    }
+  } else {
+    conv_dw_padded<16>(pin.data(), pin_stride, pplane, pw, pg.data(), pg_stride,
+                       pgplane, pgw, batch, tpad, out_channels_,
+                       geometry_.in_channels, k, oh, ow, weight_grad_.data());
+    for (std::size_t b = 0; b < batch; ++b) {
+      conv_bwd_dx_padded<16>(pg.data() + b * pg_stride, pgplane, pgw,
+                             weight_.data(), out_channels_,
+                             geometry_.in_channels, k, geometry_.in_h,
+                             geometry_.in_w, dx.data() + b * image_size);
+    }
   }
   return dx;
 }

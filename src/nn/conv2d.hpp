@@ -69,9 +69,11 @@ class Conv2D : public Layer {
   // each image on the fly.
   enum Slot : std::size_t {
     kCols = 0, kGemmOut, kOut, kGmat, kDcols, kDx,
-    kPadIn,  // direct path: zero-padded input planes for one image
-    kPadG,   // direct path: transpose-padded gradient planes for one image
-    kPairOut,  // pair path: 16-wide kernel output before de-interleaving
+    kPadIn,       // forward: zero-padded input planes, one image or pair
+    kPadG,        // backward: transpose-padded gradient planes, whole
+                  // batch (direct); padded dx scratch, one image (fused)
+    kPairOut,     // pair path: 16-wide kernel output before de-interleaving
+    kPadInBatch,  // direct backward: zero-padded input planes, whole batch
   };
 
   Conv2dGeometry geometry_;
@@ -84,12 +86,9 @@ class Conv2D : public Layer {
   bool has_cols_ = false;  // the last training forward's lowering state is live
   Tensor cached_in_;    // per-image path: input copy for backward re-lowering
   Workspace ws_;
-  // Per-chunk scratch for the batch fan-outs (padded planes, per-image
-  // column matrices, dW slice partials); slot 0 doubles as the serial
-  // path's scratch, so single-thread runs pay nothing extra.
-  WorkspaceArena arena_;
   ops::PackedA packed_w_;   // scratch for the forward weight packing
   ops::PackedA packed_wt_;  // scratch for the backward Wᵀ packing
+  ops::PackedA packed_g_;   // scratch for the per-image dW packing of g_b
 };
 
 }  // namespace fedcav::nn

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "src/tensor/ops.hpp"
-#include "src/tensor/parallel.hpp"
 #include "src/utils/error.hpp"
 
 namespace fedcav::nn {
@@ -22,16 +21,6 @@ void check_batch(const Tensor& logits, const std::vector<std::size_t>& labels,
   }
 }
 constexpr float kProbFloor = 1e-12f;
-
-// Fan-out width over batch rows. The softmax rows are independent; the
-// loss total folds the per-row slots in ascending row order, so any
-// width is bit-identical (fixed-slot reduction, DESIGN.md §13).
-constexpr std::size_t kLossParallelMinOps = std::size_t{1} << 14;
-std::size_t row_fanout(std::size_t rows, std::size_t total_ops) {
-  const std::size_t ways = ops::kernel_ways();
-  if (ways <= 1 || rows < 2 || total_ops < kLossParallelMinOps) return 1;
-  return std::min(ways, rows);
-}
 }  // namespace
 
 float SoftmaxCrossEntropy::forward(const Tensor& logits,
@@ -43,37 +32,30 @@ float SoftmaxCrossEntropy::forward(const Tensor& logits,
   const std::size_t classes = logits.shape()[1];
   rowmax_.resize(batch);
   rowsum_.resize(batch);
-  rowloss_.resize(batch);
-  ops::parallel_chunks(
-      batch, row_fanout(batch, batch * classes),
-      [&](std::size_t b0, std::size_t b1, std::size_t) {
-        for (std::size_t b = b0; b < b1; ++b) {
-          const float* row = logits.data() + b * classes;
-          // Online softmax: one traversal keeps a running max m and the
-          // sum of exp(x - m), rescaling the partial sum whenever the
-          // max moves.
-          float m = -std::numeric_limits<float>::infinity();
-          float s = 0.0f;
-          for (std::size_t j = 0; j < classes; ++j) {
-            const float x = row[j];
-            if (x > m) {
-              s = s * std::exp(m - x) + 1.0f;  // rescale old partials, count x
-              m = x;
-            } else {
-              s += std::exp(x - m);
-            }
-          }
-          rowmax_[b] = m;
-          rowsum_[b] = s;
-          const double py =
-              std::max(static_cast<double>(kProbFloor),
-                       std::exp(static_cast<double>(row[labels_[b]] - m)) /
-                           static_cast<double>(s));
-          rowloss_[b] = -std::log(py);
-        }
-      });
   double total = 0.0;
-  for (std::size_t b = 0; b < batch; ++b) total += rowloss_[b];
+  for (std::size_t b = 0; b < batch; ++b) {
+    const float* row = logits.data() + b * classes;
+    // Online softmax: one traversal keeps a running max m and the sum of
+    // exp(x - m), rescaling the partial sum whenever the max moves.
+    float m = -std::numeric_limits<float>::infinity();
+    float s = 0.0f;
+    for (std::size_t j = 0; j < classes; ++j) {
+      const float x = row[j];
+      if (x > m) {
+        s = s * std::exp(m - x) + 1.0f;  // rescale old partials, count x
+        m = x;
+      } else {
+        s += std::exp(x - m);
+      }
+    }
+    rowmax_[b] = m;
+    rowsum_[b] = s;
+    const double py =
+        std::max(static_cast<double>(kProbFloor),
+                 std::exp(static_cast<double>(row[labels_[b]] - m)) /
+                     static_cast<double>(s));
+    total += -std::log(py);
+  }
   return static_cast<float>(total / static_cast<double>(batch));
 }
 
@@ -83,21 +65,17 @@ const Tensor& SoftmaxCrossEntropy::backward() {
   const std::size_t classes = logits_.shape()[1];
   const float inv_batch = 1.0f / static_cast<float>(batch);
   grad_.resize_uninitialized(logits_.shape());
-  ops::parallel_chunks(
-      batch, row_fanout(batch, batch * classes),
-      [&](std::size_t b0, std::size_t b1, std::size_t) {
-        for (std::size_t b = b0; b < b1; ++b) {
-          const float* row = logits_.data() + b * classes;
-          float* dst = grad_.data() + b * classes;
-          const float m = rowmax_[b];
-          const float inv_s = 1.0f / rowsum_[b];
-          const std::size_t y = labels_[b];
-          for (std::size_t j = 0; j < classes; ++j) {
-            const float p = std::exp(row[j] - m) * inv_s;
-            dst[j] = (p - (j == y ? 1.0f : 0.0f)) * inv_batch;
-          }
-        }
-      });
+  for (std::size_t b = 0; b < batch; ++b) {
+    const float* row = logits_.data() + b * classes;
+    float* dst = grad_.data() + b * classes;
+    const float m = rowmax_[b];
+    const float inv_s = 1.0f / rowsum_[b];
+    const std::size_t y = labels_[b];
+    for (std::size_t j = 0; j < classes; ++j) {
+      const float p = std::exp(row[j] - m) * inv_s;
+      dst[j] = (p - (j == y ? 1.0f : 0.0f)) * inv_batch;
+    }
+  }
   return grad_;
 }
 

@@ -49,7 +49,6 @@ class SoftmaxCrossEntropy : public Loss {
   Tensor logits_;              // cached batch (capacity-reusing copy)
   std::vector<float> rowmax_;  // per-row running max m
   std::vector<float> rowsum_;  // per-row sum of exp(x_j - m)
-  std::vector<double> rowloss_;  // per-row -log p_y, folded in row order
   std::vector<std::size_t> labels_;
   Tensor grad_;
 };

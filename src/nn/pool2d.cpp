@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "src/tensor/parallel.hpp"
 #include "src/utils/error.hpp"
 
 namespace fedcav::nn {
@@ -12,18 +11,6 @@ void check_pool_input(const Shape& s, std::size_t window, const char* who) {
   FEDCAV_REQUIRE(s.rank() == 4, std::string(who) + ": rank-4 input required");
   FEDCAV_REQUIRE(s[2] >= window && s[3] >= window,
                  std::string(who) + ": window larger than input");
-}
-
-// Fan-out width over (batch × channel) planes. Every pooling loop below
-// reads and writes only within one plane — an output element's window
-// and (for max-pool backward) its argmax both live in the element's own
-// plane — so chunking by plane is the disjoint-output case of the
-// DESIGN.md §13 determinism contract.
-constexpr std::size_t kPoolParallelMinOps = std::size_t{1} << 16;
-std::size_t plane_fanout(std::size_t planes, std::size_t total_ops) {
-  const std::size_t ways = ops::kernel_ways();
-  if (ways <= 1 || planes < 2 || total_ops < kPoolParallelMinOps) return 1;
-  return std::min(ways, planes);
 }
 }  // namespace
 
@@ -48,63 +35,57 @@ const Tensor& MaxPool2D::forward(const Tensor& input, bool training) {
   if (training) argmax_.resize(out.numel());
 
   const std::size_t planes = batch * channels;
-  const std::size_t out_plane = oh * ow;
-  const std::size_t fan =
-      plane_fanout(planes, planes * out_plane * window_ * window_);
-  ops::parallel_chunks(planes, fan, [&](std::size_t p0, std::size_t p1,
-                                        std::size_t) {
-    for (std::size_t p = p0; p < p1; ++p) {
-      const float* plane = input.data() + p * h * w;
-      const std::size_t plane_base = p * h * w;
-      std::size_t oi = p * out_plane;
-      if (window_ == 2 && stride_ == 2) {
-        // The zoo's only pooling geometry: a branchless 2×2 tournament.
-        // Data-dependent if-chains mispredict on ~random activations;
-        // ternaries compile to cmov/blend. Comparison directions keep
-        // the generic loop's first-max-wins tie semantics: on a tie the
-        // earlier element (row-major order) survives every round.
-        for (std::size_t y = 0; y < oh; ++y) {
-          const std::size_t ry = 2 * y * w;
-          const float* r0 = plane + ry;
-          const float* r1 = r0 + w;
-          for (std::size_t x = 0; x < ow; ++x, ++oi) {
-            const std::size_t rx = 2 * x;
-            const float v0 = r0[rx], v1 = r0[rx + 1];
-            const float v2 = r1[rx], v3 = r1[rx + 1];
-            const bool t01 = v1 > v0;
-            const bool t23 = v3 > v2;
-            const float m01 = t01 ? v1 : v0;
-            const float m23 = t23 ? v3 : v2;
-            const bool tf = m23 > m01;
-            out[oi] = tf ? m23 : m01;
-            if (training) {
-              const std::size_t i01 = ry + rx + (t01 ? 1 : 0);
-              const std::size_t i23 = ry + w + rx + (t23 ? 1 : 0);
-              argmax_[oi] = plane_base + (tf ? i23 : i01);
-            }
-          }
-        }
-        continue;
-      }
+  std::size_t oi = 0;
+  for (std::size_t p = 0; p < planes; ++p) {
+    const float* plane = input.data() + p * h * w;
+    const std::size_t plane_base = p * h * w;
+    if (window_ == 2 && stride_ == 2) {
+      // The zoo's only pooling geometry: a branchless 2×2 tournament.
+      // Data-dependent if-chains mispredict on ~random activations;
+      // ternaries compile to cmov/blend. Comparison directions keep
+      // the generic loop's first-max-wins tie semantics: on a tie the
+      // earlier element (row-major order) survives every round.
       for (std::size_t y = 0; y < oh; ++y) {
+        const std::size_t ry = 2 * y * w;
+        const float* r0 = plane + ry;
+        const float* r1 = r0 + w;
         for (std::size_t x = 0; x < ow; ++x, ++oi) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::size_t best_idx = 0;
-          for (std::size_t dy = 0; dy < window_; ++dy) {
-            const float* row = plane + (y * stride_ + dy) * w + x * stride_;
-            for (std::size_t dx = 0; dx < window_; ++dx) {
-              if (row[dx] > best) {
-                best = row[dx];
-                best_idx = (y * stride_ + dy) * w + x * stride_ + dx;
-              }
+          const std::size_t rx = 2 * x;
+          const float v0 = r0[rx], v1 = r0[rx + 1];
+          const float v2 = r1[rx], v3 = r1[rx + 1];
+          const bool t01 = v1 > v0;
+          const bool t23 = v3 > v2;
+          const float m01 = t01 ? v1 : v0;
+          const float m23 = t23 ? v3 : v2;
+          const bool tf = m23 > m01;
+          out[oi] = tf ? m23 : m01;
+          if (training) {
+            const std::size_t i01 = ry + rx + (t01 ? 1 : 0);
+            const std::size_t i23 = ry + w + rx + (t23 ? 1 : 0);
+            argmax_[oi] = plane_base + (tf ? i23 : i01);
+          }
+        }
+      }
+      continue;
+    }
+    for (std::size_t y = 0; y < oh; ++y) {
+      for (std::size_t x = 0; x < ow; ++x, ++oi) {
+        float best = -std::numeric_limits<float>::infinity();
+        std::size_t best_idx = 0;
+        for (std::size_t dy = 0; dy < window_; ++dy) {
+          const float* row = plane + (y * stride_ + dy) * w + x * stride_;
+          for (std::size_t dx = 0; dx < window_; ++dx) {
+            if (row[dx] > best) {
+              best = row[dx];
+              best_idx = (y * stride_ + dy) * w + x * stride_ + dx;
             }
           }
-          out[oi] = best;
-          if (training) argmax_[oi] = plane_base + best_idx;
         }
+        out[oi] = best;
+        if (training) argmax_[oi] = plane_base + best_idx;
       }
     }
-  });
+  }
   return out;
 }
 
@@ -113,15 +94,9 @@ const Tensor& MaxPool2D::backward(const Tensor& grad_output) {
   FEDCAV_REQUIRE(grad_output.numel() == argmax_.size(),
                  "MaxPool2D::backward: grad_output size mismatch");
   Tensor& dx = ws_.zeroed(kDx, input_shape_);
-  const std::size_t planes = input_shape_[0] * input_shape_[1];
-  const std::size_t out_plane = argmax_.size() / planes;
-  ops::parallel_chunks(planes, plane_fanout(planes, argmax_.size()),
-                       [&](std::size_t p0, std::size_t p1, std::size_t) {
-                         for (std::size_t i = p0 * out_plane, e = p1 * out_plane;
-                              i < e; ++i) {
-                           dx[argmax_[i]] += grad_output[i];
-                         }
-                       });
+  for (std::size_t i = 0; i < argmax_.size(); ++i) {
+    dx[argmax_[i]] += grad_output[i];
+  }
   return dx;
 }
 
@@ -152,27 +127,21 @@ const Tensor& AvgPool2D::forward(const Tensor& input, bool training) {
 
   Tensor& out = ws_.get(kOut, Shape::of(batch, channels, oh, ow));
   const std::size_t planes = batch * channels;
-  const std::size_t out_plane = oh * ow;
-  const std::size_t fan =
-      plane_fanout(planes, planes * out_plane * window_ * window_);
-  ops::parallel_chunks(planes, fan, [&](std::size_t p0, std::size_t p1,
-                                        std::size_t) {
-    for (std::size_t p = p0; p < p1; ++p) {
-      const float* plane = input.data() + p * h * w;
-      std::size_t oi = p * out_plane;
-      for (std::size_t y = 0; y < oh; ++y) {
-        for (std::size_t x = 0; x < ow; ++x, ++oi) {
-          float acc = 0.0f;
-          for (std::size_t dy = 0; dy < window_; ++dy) {
-            for (std::size_t dx = 0; dx < window_; ++dx) {
-              acc += plane[(y * stride_ + dy) * w + (x * stride_ + dx)];
-            }
+  std::size_t oi = 0;
+  for (std::size_t p = 0; p < planes; ++p) {
+    const float* plane = input.data() + p * h * w;
+    for (std::size_t y = 0; y < oh; ++y) {
+      for (std::size_t x = 0; x < ow; ++x, ++oi) {
+        float acc = 0.0f;
+        for (std::size_t dy = 0; dy < window_; ++dy) {
+          for (std::size_t dx = 0; dx < window_; ++dx) {
+            acc += plane[(y * stride_ + dy) * w + (x * stride_ + dx)];
           }
-          out[oi] = acc * inv;
         }
+        out[oi] = acc * inv;
       }
     }
-  });
+  }
   return out;
 }
 
@@ -188,26 +157,20 @@ const Tensor& AvgPool2D::backward(const Tensor& grad_output) {
 
   Tensor& dx = ws_.zeroed(kDx, input_shape_);
   const std::size_t planes = batch * channels;
-  const std::size_t out_plane = oh * ow;
-  const std::size_t fan =
-      plane_fanout(planes, planes * out_plane * window_ * window_);
-  ops::parallel_chunks(planes, fan, [&](std::size_t p0, std::size_t p1,
-                                        std::size_t) {
-    for (std::size_t p = p0; p < p1; ++p) {
-      float* plane = dx.data() + p * h * w;
-      std::size_t oi = p * out_plane;
-      for (std::size_t y = 0; y < oh; ++y) {
-        for (std::size_t x = 0; x < ow; ++x, ++oi) {
-          const float g = grad_output[oi] * inv;
-          for (std::size_t dy = 0; dy < window_; ++dy) {
-            for (std::size_t dx2 = 0; dx2 < window_; ++dx2) {
-              plane[(y * stride_ + dy) * w + (x * stride_ + dx2)] += g;
-            }
+  std::size_t oi = 0;
+  for (std::size_t p = 0; p < planes; ++p) {
+    float* plane = dx.data() + p * h * w;
+    for (std::size_t y = 0; y < oh; ++y) {
+      for (std::size_t x = 0; x < ow; ++x, ++oi) {
+        const float g = grad_output[oi] * inv;
+        for (std::size_t dy = 0; dy < window_; ++dy) {
+          for (std::size_t dx2 = 0; dx2 < window_; ++dx2) {
+            plane[(y * stride_ + dy) * w + (x * stride_ + dx2)] += g;
           }
         }
       }
     }
-  });
+  }
   return dx;
 }
 
@@ -229,18 +192,12 @@ const Tensor& GlobalAvgPool::forward(const Tensor& input, bool training) {
   const float inv = 1.0f / static_cast<float>(plane);
 
   Tensor& out = ws_.get(kOut, Shape::of(batch, channels));
-  const std::size_t planes = batch * channels;
-  ops::parallel_chunks(planes, plane_fanout(planes, planes * plane),
-                       [&](std::size_t p0, std::size_t p1, std::size_t) {
-                         for (std::size_t p = p0; p < p1; ++p) {
-                           const float* src = input.data() + p * plane;
-                           double acc = 0.0;
-                           for (std::size_t i = 0; i < plane; ++i) {
-                             acc += static_cast<double>(src[i]);
-                           }
-                           out[p] = static_cast<float>(acc) * inv;
-                         }
-                       });
+  for (std::size_t p = 0, planes = batch * channels; p < planes; ++p) {
+    const float* src = input.data() + p * plane;
+    double acc = 0.0;
+    for (std::size_t i = 0; i < plane; ++i) acc += static_cast<double>(src[i]);
+    out[p] = static_cast<float>(acc) * inv;
+  }
   return out;
 }
 
@@ -252,15 +209,11 @@ const Tensor& GlobalAvgPool::backward(const Tensor& grad_output) {
   const float inv = 1.0f / static_cast<float>(plane);
 
   Tensor& dx = ws_.get(kDx, input_shape_);
-  const std::size_t planes = batch * channels;
-  ops::parallel_chunks(planes, plane_fanout(planes, planes * plane),
-                       [&](std::size_t p0, std::size_t p1, std::size_t) {
-                         for (std::size_t p = p0; p < p1; ++p) {
-                           const float g = grad_output[p] * inv;
-                           float* dst = dx.data() + p * plane;
-                           for (std::size_t i = 0; i < plane; ++i) dst[i] = g;
-                         }
-                       });
+  for (std::size_t p = 0, planes = batch * channels; p < planes; ++p) {
+    const float g = grad_output[p] * inv;
+    float* dst = dx.data() + p * plane;
+    for (std::size_t i = 0; i < plane; ++i) dst[i] = g;
+  }
   return dx;
 }
 

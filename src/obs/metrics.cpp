@@ -1,5 +1,6 @@
 #include "src/obs/metrics.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -10,6 +11,15 @@
 namespace fedcav::obs {
 
 namespace {
+
+/// A double as the shortest decimal that parses back to the same value.
+/// The stream default keeps 6 significant digits, so a byte gauge of
+/// 54,472,704 would print as 5.44727e+07.
+void write_double(std::ostream& out, double v) {
+  char buf[32];
+  const char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+  out.write(buf, end - buf);
+}
 
 /// fetch_add for atomic<double> (the member form is integral-only until
 /// C++20 libstdc++ catches up everywhere): CAS loop, relaxed — summaries
@@ -150,18 +160,27 @@ void Registry::write_summary(std::ostream& out) const {
   out << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
   first = true;
   for (const auto& [name, g] : gauges_) {
-    out << (first ? "\n" : ",\n") << "    \"" << name << "\": " << g->value();
+    out << (first ? "\n" : ",\n") << "    \"" << name << "\": ";
+    write_double(out, g->value());
     first = false;
   }
   out << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
   first = true;
   for (const auto& [name, h] : histograms_) {
     out << (first ? "\n" : ",\n") << "    \"" << name << "\": {\"count\": "
-        << h->count() << ", \"sum\": " << h->sum() << ", \"mean\": " << h->mean();
+        << h->count();
+    const auto stat = [&out](const char* key, double v) {
+      out << ", \"" << key << "\": ";
+      write_double(out, v);
+    };
+    stat("sum", h->sum());
+    stat("mean", h->mean());
     if (h->count() > 0) {
-      out << ", \"min\": " << h->min() << ", \"max\": " << h->max()
-          << ", \"p50\": " << h->quantile(0.5) << ", \"p90\": " << h->quantile(0.9)
-          << ", \"p99\": " << h->quantile(0.99);
+      stat("min", h->min());
+      stat("max", h->max());
+      stat("p50", h->quantile(0.5));
+      stat("p90", h->quantile(0.9));
+      stat("p99", h->quantile(0.99));
     }
     out << "}";
     first = false;

@@ -1,7 +1,10 @@
 #include "src/obs/trace.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cinttypes>
+#include <cstdio>
 #include <fstream>
 
 #include "src/utils/error.hpp"
@@ -23,6 +26,18 @@ std::uint64_t steady_ns() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+/// Chrome's ts/dur unit is microseconds. Printed from the integer
+/// nanoseconds as exact microseconds with 3 decimals: a double at the
+/// default stream precision keeps 6 significant digits, which past 1 s
+/// rounds to 10 µs or coarser and breaks the nesting of short child
+/// spans.
+void write_us(std::ostream& out, std::uint64_t ns) {
+  char buf[32];
+  const int len = std::snprintf(buf, sizeof(buf), "%" PRIu64 ".%03" PRIu64,
+                                ns / 1000, ns % 1000);
+  out.write(buf, len);
 }
 
 /// JSON string escaping for span names (quotes, backslashes, control
@@ -122,15 +137,19 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
     write_json_string(out, ev.name);
     out << ", \"cat\": ";
     write_json_string(out, ev.cat);
-    // Chrome's ts/dur unit is microseconds; fractional values keep the
-    // ns resolution.
-    out << ", \"ph\": \"X\", \"pid\": 1, \"tid\": " << ev.tid
-        << ", \"ts\": " << static_cast<double>(ev.ts_ns) * 1e-3
-        << ", \"dur\": " << static_cast<double>(ev.dur_ns) * 1e-3;
+    out << ", \"ph\": \"X\", \"pid\": 1, \"tid\": " << ev.tid << ", \"ts\": ";
+    write_us(out, ev.ts_ns);
+    out << ", \"dur\": ";
+    write_us(out, ev.dur_ns);
     if (ev.arg_key != nullptr) {
       out << ", \"args\": {";
       write_json_string(out, ev.arg_key);
-      out << ": " << ev.arg_value << "}";
+      // Shortest round-trip form, like the registry summary's numbers.
+      char buf[32];
+      const char* end = std::to_chars(buf, buf + sizeof(buf), ev.arg_value).ptr;
+      out << ": ";
+      out.write(buf, end - buf);
+      out << "}";
     }
     out << "}";
   }

@@ -7,7 +7,6 @@
 
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
-#include "src/tensor/parallel.hpp"
 #include "src/utils/error.hpp"
 
 namespace fedcav::ops {
@@ -17,10 +16,9 @@ namespace {
 constexpr std::size_t kMr = kGemmMr;
 constexpr std::size_t kNr = kGemmNr;
 
-// B-panel scratch, reused across calls on the same thread. Clients train
-// concurrently on the shared pool, and the parallel j-tile path below
-// packs panels from several kernel-pool workers at once, so this must be
-// thread_local rather than a single static buffer.
+// B-panel scratch, reused across calls on the same thread. Round workers
+// train clients concurrently, each running its own GEMMs, so this must
+// be thread_local rather than a single static buffer.
 std::vector<float>& b_panel_scratch() {
   thread_local std::vector<float> panel;
   return panel;
@@ -32,11 +30,6 @@ std::vector<float>& b_panel_scratch() {
 /// and an unblocked panel would be re-streamed from L2/L3 once per A
 /// tile.
 constexpr std::size_t kKc = 256;
-
-/// Below this many flops (2·m·n·k) a GEMM stays on the single-thread
-/// path: the fork/join of even one parallel_for costs more than the
-/// whole multiply for the LeNet/MLP shapes.
-constexpr std::size_t kGemmParallelMinFlops = std::size_t{1} << 21;
 
 /// Pack the k-rows [k0, k0+kc) of NR columns [j0, j0+nr) of op(B) into
 /// `panel` (kc × kNr, k-major, zero padded on the right when nr < kNr).
@@ -310,47 +303,23 @@ void gemm_prepacked(const PackedA& a, Trans tb, std::size_t n, const float* b,
   const MicroKernelFn kernel = active_micro_kernel();
   const std::size_t a_tiles = (m + kMr - 1) / kMr;
   const std::size_t j_tiles = (n + kNr - 1) / kNr;
-  // One j-tile (kNr C columns, full m and k) is the unit of parallel
-  // work: its C columns are written by no other tile, so any partition
-  // of the tile range is bit-identical to the serial loop (the k-order
-  // per C element never changes). Each worker packs B panels into its
-  // own thread_local scratch.
-  auto run_tiles = [&](std::size_t jt_begin, std::size_t jt_end) {
-    std::vector<float>& panel = b_panel_scratch();
-    panel.resize(std::min(k, kKc) * kNr);
-    for (std::size_t jt = jt_begin; jt < jt_end; ++jt) {
-      const std::size_t j0 = jt * kNr;
-      const std::size_t nr = std::min(kNr, n - j0);
-      (void)nr;
-      for (std::size_t k0 = 0; k0 < k; k0 += kKc) {
-        const std::size_t kc = std::min(kKc, k - k0);
-        pack_b_panel(tb, n, b, ldb, j0, k0, kc, panel.data());
-        // The first k-block applies the caller's beta; later blocks
-        // accumulate onto the partial C tile.
-        const float blk_beta = k0 == 0 ? beta : 1.0f;
-        for (std::size_t t = 0; t < a_tiles; ++t) {
-          const std::size_t i0 = t * kMr;
-          const std::size_t mr = std::min(kMr, m - i0);
-          kernel(a.data.data() + t * k * kMr + k0 * kMr, panel.data(), kc, mr,
-                 std::min(kNr, n - j0), blk_beta, c + i0 * ldc + j0, ldc);
-        }
+  std::vector<float>& panel = b_panel_scratch();
+  panel.resize(std::min(k, kKc) * kNr);
+  for (std::size_t jt = 0; jt < j_tiles; ++jt) {
+    const std::size_t j0 = jt * kNr;
+    for (std::size_t k0 = 0; k0 < k; k0 += kKc) {
+      const std::size_t kc = std::min(kKc, k - k0);
+      pack_b_panel(tb, n, b, ldb, j0, k0, kc, panel.data());
+      // The first k-block applies the caller's beta; later blocks
+      // accumulate onto the partial C tile.
+      const float blk_beta = k0 == 0 ? beta : 1.0f;
+      for (std::size_t t = 0; t < a_tiles; ++t) {
+        const std::size_t i0 = t * kMr;
+        const std::size_t mr = std::min(kMr, m - i0);
+        kernel(a.data.data() + t * k * kMr + k0 * kMr, panel.data(), kc, mr,
+               std::min(kNr, n - j0), blk_beta, c + i0 * ldc + j0, ldc);
       }
     }
-  };
-  const std::size_t ways = kernel_ways();
-  const std::size_t flops = 2 * m * n * k;
-  if (ways > 1 && j_tiles > 1 && flops >= kGemmParallelMinFlops) {
-    if (obs::enabled()) {
-      static obs::Counter& par_tiles =
-          obs::registry().counter("gemm.parallel_tiles");
-      par_tiles.add(j_tiles);
-    }
-    parallel_chunks(j_tiles, ways,
-                    [&](std::size_t b0, std::size_t e0, std::size_t) {
-                      run_tiles(b0, e0);
-                    });
-  } else {
-    run_tiles(0, j_tiles);
   }
 }
 

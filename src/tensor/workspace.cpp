@@ -37,15 +37,4 @@ void Workspace::release() {
   zeroed_shapes_.clear();
 }
 
-void WorkspaceArena::reserve(std::size_t chunks) {
-  while (slots_.size() < chunks) slots_.emplace_back();
-}
-
-Workspace& WorkspaceArena::slot(std::size_t c) {
-  if (c >= slots_.size()) reserve(c + 1);  // serial-path convenience
-  return slots_[c];
-}
-
-void WorkspaceArena::release() { slots_.clear(); }
-
 }  // namespace fedcav

@@ -62,31 +62,4 @@ class Workspace {
   std::deque<Shape> zeroed_shapes_;
 };
 
-/// Per-chunk workspaces for parallel kernels: chunk c of a
-/// parallel_chunks fan-out draws its scratch from slot(c), so concurrent
-/// chunks never share a buffer. Same grow-only, copy-cold semantics as
-/// Workspace. Usage contract: the coordinating (serial) thread calls
-/// reserve(chunks) before fanning out; workers then call slot(c) for
-/// distinct c only, which touches no shared state.
-class WorkspaceArena {
- public:
-  WorkspaceArena() = default;
-  WorkspaceArena(const WorkspaceArena&) {}  // clones start cold
-  WorkspaceArena& operator=(const WorkspaceArena&) { return *this; }
-  WorkspaceArena(WorkspaceArena&&) noexcept = default;
-  WorkspaceArena& operator=(WorkspaceArena&&) noexcept = default;
-
-  /// Grow to at least `chunks` workspaces (serial phase only).
-  void reserve(std::size_t chunks);
-
-  /// Workspace for chunk `c`; must be < the reserved count when called
-  /// from a worker. deque-backed, so growth never moves earlier slots.
-  Workspace& slot(std::size_t c);
-
-  void release();
-
- private:
-  std::deque<Workspace> slots_;
-};
-
 }  // namespace fedcav

@@ -128,5 +128,58 @@ TEST(ConvBatched, PerImageSlicesMatchFusedBatch) {
   }
 }
 
+// Backward above 8 images on cnn9's pair geometry (16→16 channels, 7×7
+// planes, k3 p1: two images share each 16-lane row). Batch 21 leaves an
+// odd pair tail. One batched backward's dW and db must equal the sum of
+// 21 single-image backwards up to float reassociation; dx is per image
+// and must match bitwise.
+TEST(ConvBatched, BackwardOverOddBatchMatchesSingleImageSum) {
+  constexpr std::size_t kBatch = 21, kChannels = 16, kSide = 7;
+  Rng rng(2109);
+  Conv2D conv(kChannels, kChannels, 3, 1, 1, kSide, kSide, rng);
+  const Shape shape = Shape::of(kBatch, kChannels, kSide, kSide);
+  const Tensor input = Tensor::uniform(shape, rng, -1.0f, 1.0f);
+  const Tensor grad = Tensor::uniform(shape, rng, -1.0f, 1.0f);
+  const std::vector<nn::ParamView> params = conv.params();
+
+  conv.zero_grad();
+  conv.forward(input, /*training=*/true);
+  const Tensor dx = conv.backward(grad);
+  const Tensor dw = *params[0].grad;
+  const Tensor db = *params[1].grad;
+
+  const std::size_t image = kChannels * kSide * kSide;
+  std::vector<double> dw_sum(dw.numel(), 0.0);
+  std::vector<double> db_sum(db.numel(), 0.0);
+  for (std::size_t b = 0; b < kBatch; ++b) {
+    Tensor one_in(Shape::of(1, kChannels, kSide, kSide));
+    Tensor one_grad(Shape::of(1, kChannels, kSide, kSide));
+    for (std::size_t i = 0; i < image; ++i) {
+      one_in[i] = input[b * image + i];
+      one_grad[i] = grad[b * image + i];
+    }
+    conv.zero_grad();
+    conv.forward(one_in, /*training=*/true);
+    const Tensor& one_dx = conv.backward(one_grad);
+    for (std::size_t i = 0; i < image; ++i) {
+      ASSERT_EQ(one_dx[i], dx[b * image + i]) << "image " << b << " flat " << i;
+    }
+    for (std::size_t i = 0; i < dw.numel(); ++i) {
+      dw_sum[i] += static_cast<double>((*params[0].grad)[i]);
+    }
+    for (std::size_t i = 0; i < db.numel(); ++i) {
+      db_sum[i] += static_cast<double>((*params[1].grad)[i]);
+    }
+  }
+  // Entries are sums of ~1,000 products of magnitude < 1: about 10 in
+  // size. One dropped or doubled image moves an entry by about 2.
+  for (std::size_t i = 0; i < dw.numel(); ++i) {
+    ASSERT_NEAR(dw[i], dw_sum[i], 2e-3) << "dW flat " << i;
+  }
+  for (std::size_t i = 0; i < db.numel(); ++i) {
+    ASSERT_NEAR(db[i], db_sum[i], 2e-3) << "db " << i;
+  }
+}
+
 }  // namespace
 }  // namespace fedcav

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -154,6 +155,33 @@ TEST_F(ObsTest, SummaryJsonListsEveryInstrumentKind) {
   EXPECT_NE(json.find("\"test.g\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
+}
+
+// The JSON writers keep every digit: ts/dur are exact microseconds from
+// the integer nanoseconds, and registry doubles parse back exactly. At
+// the stream's default 6 significant digits the span below would start
+// at 1.23457e+07 µs (21 µs early) and the gauge read back 54,472,700.
+TEST_F(ObsTest, JsonWritersKeepFullPrecision) {
+  obs::TraceEvent ev;
+  ev.name = "late_span";
+  ev.cat = "test";
+  ev.ts_ns = 12'345'678'901;
+  ev.dur_ns = 1'000'000'007;
+  obs::Tracer::instance().record(ev);
+  std::ostringstream trace;
+  obs::Tracer::instance().write_chrome_trace(trace);
+  EXPECT_NE(trace.str().find("\"ts\": 12345678.901,"), std::string::npos)
+      << trace.str();
+  EXPECT_NE(trace.str().find("\"dur\": 1000000.007"), std::string::npos)
+      << trace.str();
+
+  obs::registry().gauge("test.bytes").set(54'472'704.0);
+  const std::string json = obs::registry().summary_json();
+  const std::string key = "\"test.bytes\": ";
+  const std::size_t at = json.find(key);
+  ASSERT_NE(at, std::string::npos) << json;
+  EXPECT_EQ(std::strtod(json.c_str() + at + key.size(), nullptr), 54'472'704.0)
+      << json;
 }
 
 // ------------------------------------------------ end-to-end accounting
