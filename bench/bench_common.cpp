@@ -131,4 +131,13 @@ double accuracy_oscillation(const metrics::TrainingHistory& history) {
   return std::sqrt(var / static_cast<double>(deltas.size()));
 }
 
+std::string rounds_cell(std::optional<std::size_t> rounds, std::size_t budget) {
+  if (rounds) return std::to_string(*rounds);
+  // Appended, not `">" + std::to_string(...)`: GCC 12 raises a false
+  // -Wrestrict on operator+(const char*, std::string&&) once inlined.
+  std::string cell = ">";
+  cell += std::to_string(budget);
+  return cell;
+}
+
 }  // namespace fedcav::bench

@@ -9,6 +9,7 @@
 //   default  laptop-sized (tens of seconds), same qualitative shapes
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "src/fl/simulation.hpp"
@@ -75,5 +76,9 @@ void print_history_csv_header();
 /// Standard deviation of round-to-round accuracy deltas — the
 /// "oscillation" summary used by the Fig. 5 clip ablation.
 double accuracy_oscillation(const metrics::TrainingHistory& history);
+
+/// Table cell for a round count that may never have been reached:
+/// "<rounds>", or ">budget" when `rounds` is empty.
+std::string rounds_cell(std::optional<std::size_t> rounds, std::size_t budget);
 
 }  // namespace fedcav::bench

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
     const auto to_target = history.rounds_to_accuracy(0.7);
     table.add_row({dist.label, format_double(history.best_accuracy(), 4),
                    format_double(history.back().test_accuracy, 4),
-                   to_target ? std::to_string(*to_target) : ">" + std::to_string(scale.rounds)});
+                   rounds_cell(to_target, scale.rounds)});
   }
   std::printf("%s", table.render().c_str());
   std::printf("\nExpected shape (paper): balanced curves converge fastest; "

@@ -107,8 +107,7 @@ int main(int argc, char** argv) {
       table.add_row({dataset, alpha_str, format_double(final_acc[0], 4),
                      format_double(final_acc[1], 4), format_double(final_acc[2], 4),
                      format_double(final_acc[3], 4),
-                     fedcav_rounds ? std::to_string(*fedcav_rounds)
-                                   : ">" + std::to_string(scale.rounds)});
+                     rounds_cell(fedcav_rounds, scale.rounds)});
     }
   }
   std::printf("%s", table.render().c_str());

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
       const double post = history[attack_round - 1].test_accuracy;
       const auto recovery = history.recovery_rounds(0.9);
       table.add_row({dataset, strategy, format_double(pre, 4), format_double(post, 4),
-                     recovery ? std::to_string(*recovery) : ">" + std::to_string(scale.rounds)});
+                     rounds_cell(recovery, scale.rounds)});
       std::fflush(stdout);
     }
   }

@@ -40,13 +40,21 @@ void BM_MatmulTransposedB(benchmark::State& state) {
 BENCHMARK(BM_MatmulTransposedB)->Arg(64);
 
 void BM_Im2Col(benchmark::State& state) {
+  // Lowers an already padded image, as Conv2D's fused path does after
+  // copying each image into its zero-ringed scratch.
   Conv2dGeometry g{8, 14, 14, 3, 3, 1, 1};
   Rng rng(3);
-  std::vector<float> image(8 * 14 * 14);
-  for (auto& v : image) v = rng.uniform_f(-1.0f, 1.0f);
+  std::vector<float> padded(8 * 16 * 16, 0.0f);
+  for (std::size_t c = 0; c < 8; ++c) {
+    for (std::size_t y = 0; y < 14; ++y) {
+      for (std::size_t x = 0; x < 14; ++x) {
+        padded[(c * 16 + y + 1) * 16 + x + 1] = rng.uniform_f(-1.0f, 1.0f);
+      }
+    }
+  }
   Tensor cols(Shape::of(g.col_rows(), g.col_cols()));
   for (auto _ : state) {
-    im2col(g, image.data(), cols);
+    im2col_padded(g, padded.data(), cols.data(), g.col_cols());
     benchmark::DoNotOptimize(cols.data());
   }
 }

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate, run from anywhere: configure + build + ctest, first in the
-# default configuration, then with FEDCAV_SANITIZE=ON (ASan+UBSan), and
+# default configuration with FEDCAV_WERROR=ON (the -Wall -Wextra set
+# every target gets is an error here, so an orphaned static helper or an
+# unused parameter left behind by a deletion fails the gate), then with
+# FEDCAV_SANITIZE=ON (ASan+UBSan), and
 # finally with FEDCAV_SANITIZE=thread (TSan) over the concurrency-heavy
 # suites (thread pool, the round pipeline's WaveScheduler, obs
 # tracer/registry, server rounds, and the fault-injection chaos/golden
@@ -36,7 +39,7 @@ run_config() {
 
 ctest_args=("$@")
 
-run_config "${repo}/build" ""
+run_config "${repo}/build" "" -DFEDCAV_WERROR=ON
 # Cohort-scaling memory gate (replica-pool bound, DESIGN.md §11 + §15):
 # a smoke run of the bench enforces that peak round memory does not
 # scale with the cohort, up to a 4096-client round, dense and int8, in

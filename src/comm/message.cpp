@@ -5,6 +5,25 @@
 
 namespace fedcav::comm {
 
+namespace {
+
+// Whether `tag` names a MessageType: the one check both decoders that
+// read a tag off the wire (Envelope and NackMsg) apply.
+bool known_type(std::uint64_t tag) {
+  switch (static_cast<MessageType>(tag)) {
+    case MessageType::kGlobalModel:
+    case MessageType::kClientReport:
+    case MessageType::kNack:
+    case MessageType::kMetadataReport:
+    case MessageType::kQuantGlobalModel:
+    case MessageType::kQuantReport:
+      return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 ByteBuffer GlobalModelMsg::encode() const {
   ByteBuffer buf;
   write_u64(buf, round);
@@ -57,22 +76,6 @@ MetadataMsg MetadataMsg::decode(ByteReader& reader) {
   return msg;
 }
 
-ByteBuffer ControlMsg::encode() const {
-  ByteBuffer buf;
-  write_u64(buf, round);
-  write_u64(buf, static_cast<std::uint64_t>(action));
-  return buf;
-}
-
-ControlMsg ControlMsg::decode(ByteReader& reader) {
-  ControlMsg msg;
-  msg.round = reader.read_u64();
-  const std::uint64_t a = reader.read_u64();
-  FEDCAV_REQUIRE(a <= 1, "ControlMsg: unknown action");
-  msg.action = static_cast<ControlAction>(a);
-  return msg;
-}
-
 ByteBuffer QuantGlobalModelMsg::encode() const {
   ByteBuffer buf;
   write_u64(buf, round);
@@ -120,7 +123,7 @@ NackMsg NackMsg::decode(ByteReader& reader) {
   NackMsg msg;
   msg.round = reader.read_u64();
   const std::uint64_t t = reader.read_u64();
-  FEDCAV_REQUIRE(t >= 1 && t <= 7, "NackMsg: unknown expected type");
+  FEDCAV_REQUIRE(known_type(t), "NackMsg: unknown expected type");
   msg.expected = static_cast<MessageType>(t);
   return msg;
 }
@@ -149,7 +152,7 @@ std::optional<Envelope> Envelope::try_decode(const ByteBuffer& wire) {
   if (stored != expected) return std::nullopt;
   std::uint64_t t = 0;
   for (int i = 0; i < 8; ++i) t |= static_cast<std::uint64_t>(wire[i]) << (8 * i);
-  if (t < 1 || t > 7) return std::nullopt;
+  if (!known_type(t)) return std::nullopt;
   Envelope env;
   env.type = static_cast<MessageType>(t);
   env.payload.assign(wire.begin() + sizeof(std::uint64_t), wire.begin() + body);

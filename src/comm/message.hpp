@@ -2,9 +2,13 @@
 //
 // The protocol mirrors Fig. 3 of the paper:
 //   server -> client : GlobalModel      (weights for round t)
-//   client -> server : ClientReport     (updated weights + inference loss
-//                                        f_i(w_t) + sample count)
-//   server -> client : Control          (accept / reject-and-reverse)
+//   client -> server : MetadataReport   (inference loss f_i(w_t) +
+//                                        sample count)
+//   client -> server : ClientReport     (updated weights + the same
+//                                        scalars)
+// plus the quantized variants of the two weight-carrying messages and a
+// NACK for the retry protocol. The detector's reverse is server-side (the
+// next broadcast carries the reversed model), so no message announces it.
 // Every message serializes to a byte buffer through src/tensor/serialize
 // so the network can meter exact payload sizes — this is how the
 // overhead bench verifies the paper's "one extra float per client" claim.
@@ -23,7 +27,7 @@ namespace fedcav::comm {
 enum class MessageType : std::uint64_t {
   kGlobalModel = 1,
   kClientReport = 2,
-  kControl = 3,
+  // 3 is retired (an older control message) and rejected on decode.
   /// Receiver-side "resend" request: the expected message was missing,
   /// failed its CRC, or arrived truncated. Part of the fault-tolerant
   /// retry protocol (see DESIGN.md §10).
@@ -79,21 +83,6 @@ struct MetadataMsg {
 
   ByteBuffer encode() const;
   static MetadataMsg decode(ByteReader& reader);
-};
-
-enum class ControlAction : std::uint64_t {
-  kAccept = 0,
-  /// Round rejected by the anomaly detector; clients must discard their
-  /// local updates and re-download the (reversed) global model.
-  kRejectAndReverse = 1,
-};
-
-struct ControlMsg {
-  std::uint64_t round = 0;
-  ControlAction action = ControlAction::kAccept;
-
-  ByteBuffer encode() const;
-  static ControlMsg decode(ByteReader& reader);
 };
 
 /// Quantized broadcast: w̃_t = dequantize(model) IS the round-t

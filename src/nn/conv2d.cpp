@@ -13,20 +13,14 @@ namespace {
 
 // Layout crossover. A plane narrower than this cannot keep the GEMM's
 // kGemmNr-wide register tile busy per image (a 3×3 plane fills 9 of 16
-// lanes), so such layers fuse the batch into one wide matrix. At or
-// above it the per-image panel is already tile-efficient, and the fused
-// layout's strided columns + re-interleave passes only add cache
-// traffic, so each image keeps a contiguous block.
+// lanes), so such layers fuse the batch into one wide matrix even where
+// the direct kernels below would take them. At or above it, a geometry
+// the direct kernels accept runs them image by image; every other
+// geometry (strided convs, stride-2 1×1 projections, rows wider than
+// kDirectMaxW) stays fused at any plane size. A GEMM's per-element
+// contraction order does not depend on its n extent, so the fused
+// layout's forward values do not depend on the batch size.
 constexpr std::size_t kFusedPlaneMax = 2 * ops::kGemmNr;
-
-// Upper plane bound for choosing the fused layout on layers the direct
-// kernels can't take (strided convs, stride-2 1×1 projections). Their
-// per-image GEMMs are packing-bound at these sizes; one whole-batch GEMM
-// over n = batch·plane columns is not. Per-element contraction order of
-// a GEMM is independent of its n extent, so the layout switch does not
-// change forward results (dW's accumulation order does change — those
-// layers are tolerance-tested, not pinned).
-constexpr std::size_t kFusedWideMax = 64;
 
 // A stride-1 convolution whose rows fit the vector accumulators below is
 // overhead-bound under im2col+GEMM: the expansion duplicates the image
@@ -43,10 +37,6 @@ constexpr std::size_t kDirectMaxW = 16;
 // buffers carry this much zeroed slack past the last plane.
 constexpr std::size_t kDirectSlack = kDirectMaxW;
 
-#if defined(__GNUC__) || defined(__clang__)
-#define FEDCAV_CONV_VECTOR_DIRECT 1
-#endif
-
 // Same trick as the GEMM micro-kernel: a GNU vector keeps a whole output
 // row in registers across the kernel walk, so each (kh,kw) tap is one
 // unaligned load + one FMA. The kernels are compiled at two lane widths:
@@ -56,17 +46,8 @@ constexpr std::size_t kDirectSlack = kDirectMaxW;
 // the width choice never changes results — only occupancy.
 template <std::size_t W>
 struct VecOf {
-#ifdef FEDCAV_CONV_VECTOR_DIRECT
   typedef float type __attribute__((vector_size(W * sizeof(float))));
-#else
-  struct type {  // portable fallback: a plain lane array
-    float l[W];
-    type operator+(const type&) const = delete;  // unused; kernels below
-  };
-#endif
 };
-
-#ifdef FEDCAV_CONV_VECTOR_DIRECT
 
 template <std::size_t W>
 inline typename VecOf<W>::type load_vecw(const float* p) {
@@ -106,8 +87,6 @@ inline float lane_sum_tree(const typename VecOf<W>::type& acc) {
   }
   return buf[0];
 }
-
-#endif
 
 // Sum `rows` rows of `row_len` floats (rows `row_stride` apart) into one
 // double. The serial variant is ONE dependency chain in historical
@@ -173,7 +152,6 @@ void pad_planes(const float* src, std::size_t src_readable, std::size_t planes,
                 std::size_t extra_right, float* dst) {
   const std::size_t pw = w + 2 * pad + extra_right;
   const std::size_t ph = h + 2 * pad;
-#ifdef FEDCAV_CONV_VECTOR_DIRECT
   if (w <= 16) {
     // Masked vector copy: one 16-lane store per row, lanes ≥ w forced to
     // zero. The zero lanes re-zero every pad lane the store covers, so
@@ -203,7 +181,6 @@ void pad_planes(const float* src, std::size_t src_readable, std::size_t planes,
     }
     return;
   }
-#endif
   for (std::size_t pl = 0; pl < planes; ++pl) {
     for (std::size_t y = 0; y < h; ++y) {
       const float* __restrict__ s = src + (pl * h + y) * w;
@@ -244,7 +221,6 @@ void pad_planes_pair(const float* srcA, const float* srcB, std::size_t planes,
 // from 1:2 to 4:5 — which regroups work ACROSS output elements only;
 // each element's tap order is untouched, so the blocking is bit-identical
 // to the single-row loop (which handles the oh % 4 remainder).
-#ifdef FEDCAV_CONV_VECTOR_DIRECT
 
 // One (C output channels × R output rows) register block of the forward
 // convolution: the C·R accumulators share every input-row load (R rows ×
@@ -310,14 +286,11 @@ inline void conv_fwd_rows(const float* pin, std::size_t pplane, std::size_t pw,
   }
 }
 
-#endif
-
 template <std::size_t W>
 void conv_fwd_padded(const float* pin, std::size_t pplane, std::size_t pw,
                      const float* w, const float* bias, std::size_t oc,
                      std::size_t cin, std::size_t k, std::size_t oh,
                      std::size_t ow, float* out) {
-#ifdef FEDCAV_CONV_VECTOR_DIRECT
   std::size_t c = 0;
   for (; c + 2 <= oc; c += 2) {
     conv_fwd_rows<W, 2>(pin, pplane, pw, w, c, bias, cin, k, oh, ow, out);
@@ -325,30 +298,6 @@ void conv_fwd_padded(const float* pin, std::size_t pplane, std::size_t pw,
   if (c < oc) {
     conv_fwd_rows<W, 1>(pin, pplane, pw, w, c, bias, cin, k, oh, ow, out);
   }
-#else
-  for (std::size_t c = 0; c < oc; ++c) {
-    const float* wc = w + c * cin * k * k;
-    const float bc = bias[c];
-    for (std::size_t y = 0; y < oh; ++y) {
-      float acc[kDirectMaxW];
-      for (std::size_t x = 0; x < ow; ++x) acc[x] = bc;
-      const float* wk = wc;
-      for (std::size_t ci = 0; ci < cin; ++ci) {
-        const float* pch = pin + ci * pplane;
-        for (std::size_t kh = 0; kh < k; ++kh) {
-          const float* prow = pch + (y + kh) * pw;
-          for (std::size_t kw = 0; kw < k; ++kw) {
-            const float wv = *wk++;
-            const float* __restrict__ pr = prow + kw;
-            for (std::size_t x = 0; x < ow; ++x) acc[x] += wv * pr[x];
-          }
-        }
-      }
-      float* __restrict__ d = out + (c * oh + y) * ow;
-      for (std::size_t x = 0; x < ow; ++x) d[x] = acc[x];
-    }
-  }
-#endif
 }
 
 // dW(c, ci·K²+kh·K+kw) += Σ_{y,x} g[c][y][x] · pin[ci][y+kh][x+kw],
@@ -360,7 +309,6 @@ void conv_fwd_padded(const float* pin, std::size_t pplane, std::size_t pw,
 // additionally shares each gradient-row load across the three kw taps);
 // every tap keeps its own accumulator fed in ascending y with the same
 // ascending lane sum, so the (C, kw) grouping never changes results.
-#ifdef FEDCAV_CONV_VECTOR_DIRECT
 
 // `nimg` padded images (pin/pg strides apart) are swept per call. The
 // k==3 specialization accumulates each tap's vector across ALL images
@@ -442,17 +390,13 @@ inline void conv_dw_chans(const float* pin, std::size_t pin_stride,
   }
 }
 
-#endif
-
 template <std::size_t W>
 void conv_dw_padded(const float* pin, std::size_t pin_stride,
                     std::size_t pplane, std::size_t pw, const float* pg,
                     std::size_t pg_stride, std::size_t pgplane,
                     std::size_t pgw, std::size_t nimg, std::size_t tpad,
                     std::size_t oc, std::size_t cin, std::size_t k,
-                    std::size_t oh, std::size_t ow, float* dw) {
-  (void)ow;
-#ifdef FEDCAV_CONV_VECTOR_DIRECT
+                    std::size_t oh, float* dw) {
   std::size_t c = 0;
   if (W == 16) {
     // 32 vector registers at this width: a 4-channel group (12 tap
@@ -470,28 +414,6 @@ void conv_dw_padded(const float* pin, std::size_t pin_stride,
     conv_dw_chans<W, 1>(pin, pin_stride, pplane, pw, pg, pg_stride, pgplane,
                         pgw, nimg, tpad, c, cin, k, oh, dw);
   }
-#else
-  for (std::size_t img = 0; img < nimg; ++img) {
-    for (std::size_t c = 0; c < oc; ++c) {
-      const float* gplane = pg + img * pg_stride + c * pgplane;
-      for (std::size_t ci = 0; ci < cin; ++ci) {
-        const float* pch = pin + img * pin_stride + ci * pplane;
-        float* dwtap = dw + (c * cin + ci) * k * k;
-        for (std::size_t kh = 0; kh < k; ++kh) {
-          for (std::size_t kw = 0; kw < k; ++kw) {
-            float s = 0.0f;
-            for (std::size_t y = 0; y < oh; ++y) {
-              const float* __restrict__ grow = gplane + (y + tpad) * pgw + tpad;
-              const float* __restrict__ prow = pch + (y + kh) * pw + kw;
-              for (std::size_t x = 0; x < ow; ++x) s += grow[x] * prow[x];
-            }
-            dwtap[kh * k + kw] += s;
-          }
-        }
-      }
-    }
-  }
-#endif
 }
 
 // The transpose: dx[ci][y][x] = Σ_{c,kh,kw} W(c, ci·K²+kh·K+kw) ·
@@ -501,7 +423,6 @@ void conv_dw_padded(const float* pin, std::size_t pin_stride,
 // here the C accumulator groups share the gradient-row loads against C
 // weight broadcasts. Per-element tap order (c→kh→kw) is unchanged by
 // either grouping.
-#ifdef FEDCAV_CONV_VECTOR_DIRECT
 
 template <std::size_t W, std::size_t R, std::size_t C>
 inline void conv_dx_block(const float* pg, std::size_t pgplane,
@@ -557,69 +478,17 @@ inline void conv_dx_rows(const float* pg, std::size_t pgplane, std::size_t pgw,
   }
 }
 
-#endif
-
 template <std::size_t W>
 void conv_bwd_dx_padded(const float* pg, std::size_t pgplane, std::size_t pgw,
                         const float* w, std::size_t oc, std::size_t cin,
                         std::size_t k, std::size_t h, std::size_t wid,
                         float* dx) {
-#ifdef FEDCAV_CONV_VECTOR_DIRECT
   std::size_t ci = 0;
   for (; ci + 2 <= cin; ci += 2) {
     conv_dx_rows<W, 2>(pg, pgplane, pgw, w, ci, oc, cin, k, h, wid, dx);
   }
   if (ci < cin) {
     conv_dx_rows<W, 1>(pg, pgplane, pgw, w, ci, oc, cin, k, h, wid, dx);
-  }
-#else
-  for (std::size_t ci = 0; ci < cin; ++ci) {
-    for (std::size_t y = 0; y < h; ++y) {
-      float acc[kDirectMaxW];
-      for (std::size_t x = 0; x < wid; ++x) acc[x] = 0.0f;
-      for (std::size_t c = 0; c < oc; ++c) {
-        const float* wbase = w + c * cin * k * k + ci * k * k;
-        const float* pch = pg + c * pgplane;
-        for (std::size_t kh = 0; kh < k; ++kh) {
-          const float* prow = pch + (y + kh) * pgw;
-          const float* wrow = wbase + (k - 1 - kh) * k;
-          for (std::size_t kw = 0; kw < k; ++kw) {
-            const float wv = wrow[k - 1 - kw];
-            const float* __restrict__ pr = prow + kw;
-            for (std::size_t x = 0; x < wid; ++x) acc[x] += wv * pr[x];
-          }
-        }
-      }
-      float* __restrict__ d = dx + (ci * h + y) * wid;
-      for (std::size_t x = 0; x < wid; ++x) d[x] = acc[x];
-    }
-  }
-#endif
-}
-
-// dW += g_b · cols_bᵀ for a tiny (C_out × col_rows) output, where the
-// packed GEMM is all packing and edge writeback. Each entry is a length-
-// plane dot; 16 independent partial sums keep it vectorized without
-// reassociating a single serial reduction (which -O3 alone may not).
-void conv_dw_direct(const float* g, const float* cols, std::size_t oc,
-                    std::size_t cr, std::size_t plane, float* dw) {
-  constexpr std::size_t kLanes = 16;
-  for (std::size_t c = 0; c < oc; ++c) {
-    const float* __restrict__ gc = g + c * plane;
-    for (std::size_t r = 0; r < cr; ++r) {
-      const float* __restrict__ cri = cols + r * plane;
-      float lanes[kLanes] = {0.0f};
-      std::size_t i = 0;
-      for (; i + kLanes <= plane; i += kLanes) {
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          lanes[l] += gc[i + l] * cri[i + l];
-        }
-      }
-      float s = 0.0f;
-      for (; i < plane; ++i) s += gc[i] * cri[i];
-      for (std::size_t l = 0; l < kLanes; ++l) s += lanes[l];
-      dw[c * cr + r] += s;
-    }
   }
 }
 
@@ -690,31 +559,22 @@ const Tensor& Conv2D::forward(const Tensor& input, bool training) {
     in_shape_ = s;
     has_cols_ = true;
   }
-  ops::pack_a_into(ops::Trans::kNo, out_channels_, geometry_.col_rows(),
-                   weight_.data(), geometry_.col_rows(), packed_w_);
   return use_fused() ? forward_fused(input, batch)
-                     : forward_per_image(input, batch, training);
+                     : forward_direct(input, batch, training);
 }
 
 bool Conv2D::use_fused() const {
-  // Planes below kFusedPlaneMax cannot fill the GEMM tile per image.
-  // Between that and kFusedWideMax, fused is chosen only when the direct
-  // kernels don't apply (strided convs, 1×1 projections at stride 2):
-  // there the per-image GEMMs are packing-bound, and batching the images
-  // into one wide GEMM amortizes it. The order matters: a layer that
-  // qualifies for BOTH direct and mid-fused (e.g. a 7×7 stride-1 conv)
-  // must keep the direct path, and small planes must stay fused even
-  // when use_direct() would accept them (lenet5's conv2 — pinned by the
-  // golden run).
-  const std::size_t plane = geometry_.col_cols();
-  if (plane < kFusedPlaneMax) return true;
-  return !use_direct() && plane <= kFusedWideMax;
+  // Small planes stay fused even when use_direct() would accept them
+  // (lenet5's conv2 — pinned by the golden run); geometries the direct
+  // kernels cannot take fuse at any plane size.
+  return geometry_.col_cols() < kFusedPlaneMax || !use_direct();
 }
 
-// Narrow planes: one column matrix for the whole batch, image b owning
-// columns [b·plane, (b+1)·plane). Rows stride by n, so W·cols is ONE
-// GEMM; a re-interleave pass folds the bias while scattering
-// (C_out × batch·plane) back to (batch × C_out × plane).
+// One column matrix for the whole batch, image b owning columns
+// [b·plane, (b+1)·plane). Rows stride by n, so W·cols is ONE GEMM; a
+// re-interleave pass folds the bias while scattering (C_out ×
+// batch·plane) back to (batch × C_out × plane). The weight panel is
+// packed here, where it is read, since it changes every optimizer step.
 const Tensor& Conv2D::forward_fused(const Tensor& input, std::size_t batch) {
   const std::size_t oh = geometry_.out_h();
   const std::size_t ow = geometry_.out_w();
@@ -723,8 +583,7 @@ const Tensor& Conv2D::forward_fused(const Tensor& input, std::size_t batch) {
   const std::size_t image_size = geometry_.in_channels * geometry_.in_h * geometry_.in_w;
 
   // Pad each image once into scratch, then lower with the branch-free
-  // padded walk — same values as the bounds-checked im2col, a fraction
-  // of its cost on the small planes this path owns.
+  // padded walk.
   const std::size_t ppw = geometry_.in_w + 2 * geometry_.pad;
   const std::size_t pplane = (geometry_.in_h + 2 * geometry_.pad) * ppw;
   Tensor& cols = ws_.get(kCols, Shape::of(geometry_.col_rows(), n));
@@ -738,6 +597,8 @@ const Tensor& Conv2D::forward_fused(const Tensor& input, std::size_t batch) {
   }
 
   Tensor& gemm_out = ws_.get(kGemmOut, Shape::of(out_channels_, n));
+  ops::pack_a_into(ops::Trans::kNo, out_channels_, geometry_.col_rows(),
+                   weight_.data(), geometry_.col_rows(), packed_w_);
   ops::gemm_prepacked(packed_w_, ops::Trans::kNo, n, cols.data(), n,
                       /*beta=*/0.0f, gemm_out.data(), n);
 
@@ -754,93 +615,73 @@ const Tensor& Conv2D::forward_fused(const Tensor& input, std::size_t batch) {
   return out;
 }
 
-// Wide planes, per image. Small stride-1 kernels run the direct padded
-// kernels (no lowering at all); the rest lower one image at a time into
-// an L1-resident column scratch and GEMM straight into the output tensor
-// (ldc = plane) — no wide intermediate, no re-interleave. Training
-// caches the INPUT (k² smaller than its expansion); backward re-lowers
-// or re-pads per image.
-const Tensor& Conv2D::forward_per_image(const Tensor& input, std::size_t batch,
-                                        bool training) {
+// Direct padded kernels, image by image (or pair by pair): no lowering
+// at all. Training caches the INPUT, which backward re-pads.
+const Tensor& Conv2D::forward_direct(const Tensor& input, std::size_t batch,
+                                     bool training) {
   const std::size_t oh = geometry_.out_h();
   const std::size_t ow = geometry_.out_w();
   const std::size_t plane = oh * ow;
-  const std::size_t cr = geometry_.col_rows();
   const std::size_t image_size = geometry_.in_channels * geometry_.in_h * geometry_.in_w;
 
   if (training) cached_in_ = input;  // capacity-reusing copy
   Tensor& out = ws_.get(kOut, Shape::of(batch, out_channels_, oh, ow));
-  if (use_direct()) {
-    const std::size_t k = geometry_.kernel_h;
-    const std::size_t pad = geometry_.pad;
-    const std::size_t pw = geometry_.in_w + 2 * pad;
-    const std::size_t pplane = (geometry_.in_h + 2 * pad) * pw;
-    const std::size_t width = direct_width();
-    if (use_pair()) {
-      // Two images per kernel invocation (see use_pair()): pad both into
-      // one 16-lane-row buffer, run the W = 16 forward on it with a
-      // full-width store into the pair scratch, then de-interleave the
-      // two images' rows. Per-lane math matches the 8-lane per-image
-      // walk exactly, so this is bit-identical to it.
-      const std::size_t ph = geometry_.in_h + 2 * pad;
-      Tensor& pin = ws_.zeroed_once(
-          kPadIn, Shape::of(geometry_.in_channels * ph * 16 + kDirectSlack));
-      Tensor& sc = ws_.get(kPairOut, Shape::of(out_channels_ * oh * 16));
-      for (std::size_t bA = 0; bA < batch; bA += 2) {
-        const bool has_b = bA + 1 < batch;
-        pad_planes_pair(input.data() + bA * image_size,
-                        has_b ? input.data() + (bA + 1) * image_size : nullptr,
-                        geometry_.in_channels, geometry_.in_h, geometry_.in_w,
-                        pad, pin.data());
-        conv_fwd_padded<16>(pin.data(), ph * 16, 16, weight_.data(),
-                            bias_.data(), out_channels_, geometry_.in_channels,
-                            k, oh, /*ow=*/16, sc.data());
-        for (std::size_t c = 0; c < out_channels_; ++c) {
-          for (std::size_t y = 0; y < oh; ++y) {
-            const float* __restrict__ srow = sc.data() + (c * oh + y) * 16;
-            float* __restrict__ da =
-                out.data() + ((bA * out_channels_ + c) * oh + y) * ow;
-            for (std::size_t x = 0; x < ow; ++x) da[x] = srow[x];
-            if (has_b) {
-              float* __restrict__ db =
-                  out.data() + (((bA + 1) * out_channels_ + c) * oh + y) * ow;
-              for (std::size_t x = 0; x < ow; ++x) db[x] = srow[8 + x];
-            }
+  const std::size_t k = geometry_.kernel_h;
+  const std::size_t pad = geometry_.pad;
+  const std::size_t pw = geometry_.in_w + 2 * pad;
+  const std::size_t pplane = (geometry_.in_h + 2 * pad) * pw;
+  const std::size_t width = direct_width();
+  if (use_pair()) {
+    // Two images per kernel invocation (see use_pair()): pad both into
+    // one 16-lane-row buffer, run the W = 16 forward on it with a
+    // full-width store into the pair scratch, then de-interleave the
+    // two images' rows. Per-lane math matches the 8-lane per-image
+    // walk exactly, so this is bit-identical to it.
+    const std::size_t ph = geometry_.in_h + 2 * pad;
+    Tensor& pin = ws_.zeroed_once(
+        kPadIn, Shape::of(geometry_.in_channels * ph * 16 + kDirectSlack));
+    Tensor& sc = ws_.get(kPairOut, Shape::of(out_channels_ * oh * 16));
+    for (std::size_t bA = 0; bA < batch; bA += 2) {
+      const bool has_b = bA + 1 < batch;
+      pad_planes_pair(input.data() + bA * image_size,
+                      has_b ? input.data() + (bA + 1) * image_size : nullptr,
+                      geometry_.in_channels, geometry_.in_h, geometry_.in_w,
+                      pad, pin.data());
+      conv_fwd_padded<16>(pin.data(), ph * 16, 16, weight_.data(),
+                          bias_.data(), out_channels_, geometry_.in_channels,
+                          k, oh, /*ow=*/16, sc.data());
+      for (std::size_t c = 0; c < out_channels_; ++c) {
+        for (std::size_t y = 0; y < oh; ++y) {
+          const float* __restrict__ srow = sc.data() + (c * oh + y) * 16;
+          float* __restrict__ da =
+              out.data() + ((bA * out_channels_ + c) * oh + y) * ow;
+          for (std::size_t x = 0; x < ow; ++x) da[x] = srow[x];
+          if (has_b) {
+            float* __restrict__ db =
+                out.data() + (((bA + 1) * out_channels_ + c) * oh + y) * ow;
+            for (std::size_t x = 0; x < ow; ++x) db[x] = srow[8 + x];
           }
         }
-      }
-      return out;
-    }
-    Tensor& pin = ws_.zeroed_once(
-        kPadIn, Shape::of(geometry_.in_channels * pplane + kDirectSlack));
-    for (std::size_t b = 0; b < batch; ++b) {
-      // Copied even for pad == 0: the vector row loads overrun into the
-      // buffer's zeroed slack, which the raw input tensor doesn't have.
-      pad_planes(input.data() + b * image_size, input.numel() - b * image_size,
-                 geometry_.in_channels, geometry_.in_h, geometry_.in_w, pad,
-                 /*extra_right=*/0, pin.data());
-      float* ob = out.data() + b * out_channels_ * plane;
-      if (width == 8) {
-        conv_fwd_padded<8>(pin.data(), pplane, pw, weight_.data(), bias_.data(),
-                           out_channels_, geometry_.in_channels, k, oh, ow, ob);
-      } else {
-        conv_fwd_padded<16>(pin.data(), pplane, pw, weight_.data(),
-                            bias_.data(), out_channels_, geometry_.in_channels,
-                            k, oh, ow, ob);
       }
     }
     return out;
   }
-  Tensor& cols = ws_.get(kCols, Shape::of(cr, plane));
+  Tensor& pin = ws_.zeroed_once(
+      kPadIn, Shape::of(geometry_.in_channels * pplane + kDirectSlack));
   for (std::size_t b = 0; b < batch; ++b) {
-    im2col(geometry_, input.data() + b * image_size, cols.data(), plane);
+    // Copied even for pad == 0: the vector row loads overrun into the
+    // buffer's zeroed slack, which the raw input tensor doesn't have.
+    pad_planes(input.data() + b * image_size, input.numel() - b * image_size,
+               geometry_.in_channels, geometry_.in_h, geometry_.in_w, pad,
+               /*extra_right=*/0, pin.data());
     float* ob = out.data() + b * out_channels_ * plane;
-    ops::gemm_prepacked(packed_w_, ops::Trans::kNo, plane, cols.data(), plane,
-                        /*beta=*/0.0f, ob, plane);
-    for (std::size_t c = 0; c < out_channels_; ++c) {
-      const float bc = bias_(c);
-      float* d = ob + c * plane;
-      for (std::size_t i = 0; i < plane; ++i) d[i] += bc;
+    if (width == 8) {
+      conv_fwd_padded<8>(pin.data(), pplane, pw, weight_.data(), bias_.data(),
+                         out_channels_, geometry_.in_channels, k, oh, ow, ob);
+    } else {
+      conv_fwd_padded<16>(pin.data(), pplane, pw, weight_.data(),
+                          bias_.data(), out_channels_, geometry_.in_channels,
+                          k, oh, ow, ob);
     }
   }
   return out;
@@ -855,10 +696,8 @@ const Tensor& Conv2D::backward(const Tensor& grad_output) {
                      grad_output.shape()[1] == out_channels_ &&
                      grad_output.shape()[2] == oh && grad_output.shape()[3] == ow,
                  "Conv2D::backward: grad_output shape mismatch");
-  ops::pack_a_into(ops::Trans::kYes, geometry_.col_rows(), out_channels_,
-                   weight_.data(), geometry_.col_rows(), packed_wt_);
   return use_fused() ? backward_fused(grad_output, batch)
-                     : backward_per_image(grad_output, batch);
+                     : backward_direct(grad_output, batch);
 }
 
 const Tensor& Conv2D::backward_fused(const Tensor& grad_output, std::size_t batch) {
@@ -894,14 +733,14 @@ const Tensor& Conv2D::backward_fused(const Tensor& grad_output, std::size_t batc
 
   // dcols = Wᵀ · G  ((col_rows × C_out) · (C_out × batch·plane)).
   Tensor& dcols = ws_.get(kDcols, Shape::of(geometry_.col_rows(), n));
+  ops::pack_a_into(ops::Trans::kYes, geometry_.col_rows(), out_channels_,
+                   weight_.data(), geometry_.col_rows(), packed_wt_);
   ops::gemm_prepacked(packed_wt_, ops::Trans::kNo, n, g.data(), n,
                       /*beta=*/0.0f, dcols.data(), n);
 
   // Scatter-add each image's column gradient into a zeroed padded
-  // scratch (branch-free), then unpad into dx. Per-pixel accumulation
-  // order matches the plain col2im's (kh, kw) walk and dx blocks start
-  // from zero, so the result is bit-identical to the bounds-checked
-  // scatter.
+  // scratch (branch-free), then unpad into dx; the gradient the pad
+  // ring absorbs is dropped.
   const std::size_t ppw = geometry_.in_w + 2 * geometry_.pad;
   const std::size_t pplane = (geometry_.in_h + 2 * geometry_.pad) * ppw;
   const std::size_t pbytes =
@@ -925,12 +764,11 @@ const Tensor& Conv2D::backward_fused(const Tensor& grad_output, std::size_t batc
   return dx;
 }
 
-// Wide planes: the incoming gradient already IS per-image (C_out × plane)
-// matrices — no re-interleave, no copy. dW accumulates straight into
-// weight_grad_ over the whole batch; dx output blocks are per-image.
-const Tensor& Conv2D::backward_per_image(const Tensor& grad_output, std::size_t batch) {
+// The incoming gradient is already per-image (C_out × plane) planes,
+// padded straight into the kernels' buffers; dW accumulates into
+// weight_grad_ over the whole batch.
+const Tensor& Conv2D::backward_direct(const Tensor& grad_output, std::size_t batch) {
   const std::size_t plane = geometry_.col_cols();
-  const std::size_t cr = geometry_.col_rows();
   const std::size_t oh = geometry_.out_h();
   const std::size_t ow = geometry_.out_w();
   const std::size_t image_size = geometry_.in_channels * geometry_.in_h * geometry_.in_w;
@@ -943,40 +781,13 @@ const Tensor& Conv2D::backward_per_image(const Tensor& grad_output, std::size_t 
                  out_channels_ * plane, batch));
   }
 
-  if (!use_direct()) {
-    Tensor& dx = ws_.zeroed(kDx, in_shape_);
-    Tensor& cols = ws_.get(kCols, Shape::of(cr, plane));
-    Tensor& dcols = ws_.get(kDcols, Shape::of(cr, plane));
-    // dW via plain dots when the panel is tiny.
-    const bool direct_dw = out_channels_ * cr <= 256;
-    for (std::size_t b = 0; b < batch; ++b) {
-      const float* gb = grad_output.data() + b * out_channels_ * plane;
-      im2col(geometry_, cached_in_.data() + b * image_size, cols.data(), plane);
-      // dW += g_b · cols_bᵀ.
-      if (direct_dw) {
-        conv_dw_direct(gb, cols.data(), out_channels_, cr, plane,
-                       weight_grad_.data());
-      } else {
-        ops::pack_a_into(ops::Trans::kNo, out_channels_, plane, gb, plane,
-                         packed_g_);
-        ops::gemm_prepacked(packed_g_, ops::Trans::kYes, cr, cols.data(), plane,
-                            /*beta=*/1.0f, weight_grad_.data(), cr);
-      }
-      // dcols_b = Wᵀ · g_b, then scatter-add into the zeroed image gradient.
-      ops::gemm_prepacked(packed_wt_, ops::Trans::kNo, plane, gb, plane,
-                          /*beta=*/0.0f, dcols.data(), plane);
-      col2im(geometry_, dcols.data(), plane, dx.data() + b * image_size);
-    }
-    return dx;
-  }
-
-  // Direct path. The dx kernels overwrite every element, so dx needs no
-  // zero pass. The whole batch is padded before the kernels: one dW sweep
-  // over all images amortizes each tap's horizontal fold across them
-  // (k==3 layers) or walks them in the pinned per-image order (generic
-  // k) — see conv_dw_chans. The batch buffers have their own kPadInBatch
-  // slot, apart from the forward's one-image kPadIn, so both keep a fixed
-  // shape and zeroed_once zeroes each only once.
+  // The dx kernels overwrite every element, so dx needs no zero pass.
+  // The whole batch is padded before the kernels: one dW sweep over all
+  // images amortizes each tap's horizontal fold across them (k==3
+  // layers) or walks them in the pinned per-image order (generic k) —
+  // see conv_dw_chans. The batch buffers have their own kPadInBatch
+  // slot, apart from the forward's one-image kPadIn, so both keep a
+  // fixed shape and zeroed_once zeroes each only once.
   Tensor& dx = ws_.get(kDx, in_shape_);
   const std::size_t k = geometry_.kernel_h;
   const std::size_t pad = geometry_.pad;
@@ -1011,7 +822,7 @@ const Tensor& Conv2D::backward_per_image(const Tensor& grad_output, std::size_t 
     }
     conv_dw_padded<16>(pin.data(), pin_stride, ph * 16, 16, pg.data(),
                        pg_stride, pgh * 16, 16, nbuf, tpad, out_channels_,
-                       geometry_.in_channels, k, oh, ow, weight_grad_.data());
+                       geometry_.in_channels, k, oh, weight_grad_.data());
     for (std::size_t i = 0; i < nbuf; ++i) {
       const std::size_t b = 2 * i;
       const bool has_b = b + 1 < batch;
@@ -1062,7 +873,7 @@ const Tensor& Conv2D::backward_per_image(const Tensor& grad_output, std::size_t 
   if (width == 8) {
     conv_dw_padded<8>(pin.data(), pin_stride, pplane, pw, pg.data(), pg_stride,
                       pgplane, pgw, batch, tpad, out_channels_,
-                      geometry_.in_channels, k, oh, ow, weight_grad_.data());
+                      geometry_.in_channels, k, oh, weight_grad_.data());
     for (std::size_t b = 0; b < batch; ++b) {
       conv_bwd_dx_padded<8>(pg.data() + b * pg_stride, pgplane, pgw,
                             weight_.data(), out_channels_,
@@ -1072,7 +883,7 @@ const Tensor& Conv2D::backward_per_image(const Tensor& grad_output, std::size_t 
   } else {
     conv_dw_padded<16>(pin.data(), pin_stride, pplane, pw, pg.data(), pg_stride,
                        pgplane, pgw, batch, tpad, out_channels_,
-                       geometry_.in_channels, k, oh, ow, weight_grad_.data());
+                       geometry_.in_channels, k, oh, weight_grad_.data());
     for (std::size_t b = 0; b < batch; ++b) {
       conv_bwd_dx_padded<16>(pg.data() + b * pg_stride, pgplane, pgw,
                              weight_.data(), out_channels_,

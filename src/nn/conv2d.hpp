@@ -1,16 +1,15 @@
-// 2-D convolution, three execution paths by geometry (DESIGN.md §8).
+// 2-D convolution, two layouts by geometry (DESIGN.md §8).
 //
 // Input: (batch × C_in × H × W); output: (batch × C_out × OH × OW).
-// Weights are stored as a (C_out × C_in*KH*KW) matrix. When one image's
-// output plane (OH·OW) is too narrow to fill the GEMM's register tile,
-// the whole batch is expanded into ONE (C_in*KH*KW × batch·OH·OW) column
-// matrix so forward is a single wide GEMM. Wide planes run per image:
-// small stride-1 kernels (support ≤ 32, rows ≤ 16 floats) skip im2col
-// entirely and convolve directly over a padded plane copy with a
-// 16-lane vector row accumulator (backward = transpose convolution);
-// the rest lower each image into one reused L1-resident column scratch
-// and GEMM straight into the output tensor. All temporaries live in a
-// persistent Workspace, so steady-state training allocates nothing.
+// Weights are stored as a (C_out × C_in*KH*KW) matrix. Small stride-1
+// kernels whose rows fit a 16-lane vector (2·pad < K, support ≤ 512,
+// rows ≤ 16 floats) skip im2col and convolve directly over a padded
+// plane copy, image by image, with a vector row accumulator (backward =
+// transpose convolution) — unless the output plane is too narrow to
+// pay for it. Every other layer is fused: the whole batch is expanded
+// into ONE (C_in*KH*KW × batch·OH·OW) column matrix, so forward is a
+// single wide GEMM. All temporaries live in a persistent Workspace, so
+// steady-state training allocates nothing.
 #pragma once
 
 #include "src/nn/layer.hpp"
@@ -39,12 +38,12 @@ class Conv2D : public Layer {
  private:
   Conv2D(const Conv2D&) = default;
 
-  // Small stride-1 kernels skip the im2col lowering entirely on the
-  // per-image path: forward and dx run as direct (transpose)
-  // convolutions over a padded plane copy. See conv2d.cpp.
+  // Small stride-1 kernels skip the im2col lowering entirely: forward
+  // and dx run as direct (transpose) convolutions over a padded plane
+  // copy. See conv2d.cpp.
   bool use_direct() const;
   // Whether this geometry runs the fused (whole-batch column matrix)
-  // layout; see conv2d.cpp for the plane-size crossover rules.
+  // layout rather than the direct one; see conv2d.cpp for the crossover.
   bool use_fused() const;
   // Narrow "same"-padded direct geometries (rows ≤ 8 lanes incl. pad)
   // interleave TWO images per 16-lane vector row, doubling lane
@@ -55,18 +54,14 @@ class Conv2D : public Layer {
   std::size_t direct_width() const;
 
   const Tensor& forward_fused(const Tensor& input, std::size_t batch);
-  const Tensor& forward_per_image(const Tensor& input, std::size_t batch, bool training);
+  const Tensor& forward_direct(const Tensor& input, std::size_t batch, bool training);
   const Tensor& backward_fused(const Tensor& grad_output, std::size_t batch);
-  const Tensor& backward_per_image(const Tensor& grad_output, std::size_t batch);
+  const Tensor& backward_direct(const Tensor& grad_output, std::size_t batch);
 
-  // Workspace slots (see DESIGN.md §8). On the fused (narrow-plane) path
-  // kCols holds the batch-wide expansion and survives from forward to
-  // backward — it replaces the per-image cached_cols_ copies the
-  // pre-batched implementation made; kGemmOut/kGmat are fused-only. On
-  // the per-image (wide-plane) path kCols/kDcols are single-image
-  // scratches and training caches the raw input (cached_in_) instead —
-  // it is kernel² smaller than its expansion, and backward re-lowers
-  // each image on the fly.
+  // Workspace slots (see DESIGN.md §8). On the fused path kCols holds
+  // the batch-wide expansion and survives from forward to backward;
+  // kCols, kGemmOut, kGmat and kDcols are fused-only. The direct path
+  // caches the raw input (cached_in_) instead, which backward re-pads.
   enum Slot : std::size_t {
     kCols = 0, kGemmOut, kOut, kGmat, kDcols, kDx,
     kPadIn,       // forward: zero-padded input planes, one image or pair
@@ -84,11 +79,10 @@ class Conv2D : public Layer {
   Tensor bias_grad_;
   Shape in_shape_;      // of the last training forward's input
   bool has_cols_ = false;  // the last training forward's lowering state is live
-  Tensor cached_in_;    // per-image path: input copy for backward re-lowering
+  Tensor cached_in_;    // direct path: input copy for backward re-padding
   Workspace ws_;
-  ops::PackedA packed_w_;   // scratch for the forward weight packing
-  ops::PackedA packed_wt_;  // scratch for the backward Wᵀ packing
-  ops::PackedA packed_g_;   // scratch for the per-image dW packing of g_b
+  ops::PackedA packed_w_;   // fused path: forward weight packing
+  ops::PackedA packed_wt_;  // fused path: backward Wᵀ packing
 };
 
 }  // namespace fedcav::nn

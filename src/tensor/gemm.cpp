@@ -1,9 +1,6 @@
 #include "src/tensor/gemm.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
@@ -53,23 +50,11 @@ void pack_b_panel(Trans tb, std::size_t n, const float* b, std::size_t ldb,
   }
 }
 
-/// The register-tiled inner kernel: C[i0:i0+mr, j0:j0+nr] gets the
-/// length-k contraction of one packed A panel with one packed B panel.
-/// The k-loop is branch-free and touches only the two panels; the MR×NR
-/// accumulator block stays in registers.
-///
-/// The hot path spells the tile out with GNU vector extensions
-/// (scalar-broadcast FMA against the B vectors) because the
-/// autovectorizer picks the 4-wide row axis for the equivalent scalar
-/// loop nest. The kernel is compiled at two hardware lane widths —
-/// L = 16 (one 64-byte vector per accumulator row, 1×AVX-512 op) and
-/// L = 8 (two 32-byte vectors per row, 2×AVX2 ops) — and one of them is
-/// selected exactly once at startup (see select_micro_kernel). Per-lane
-/// float semantics are identical, so the two variants are bit-identical;
-/// the width only decides which vector ISA the loop occupies.
-#if defined(__GNUC__) || defined(__clang__)
-#define FEDCAV_GEMM_VECTOR_KERNEL 1
-
+// The hot path spells the tile out with GNU vector extensions
+// (scalar-broadcast FMA against the B vectors) because the
+// autovectorizer picks the 4-wide row axis for the equivalent scalar
+// loop nest. Each C row is kGemmNr / L vectors of L lanes; per-lane float
+// semantics do not depend on L, so every width is bit-identical.
 template <std::size_t L>
 struct VecOf {
   typedef float type __attribute__((vector_size(L * sizeof(float))));
@@ -82,10 +67,14 @@ inline typename VecOf<L>::type load_lanes(const float* p) {
   return v;
 }
 
+}  // namespace
+
+namespace detail {
+
 template <std::size_t L>
-void micro_kernel_t(const float* a_panel, const float* b_panel, std::size_t k,
-                    std::size_t mr, std::size_t nr, float beta, float* c,
-                    std::size_t ldc) {
+void micro_kernel(const float* a_panel, const float* b_panel, std::size_t k,
+                  std::size_t mr, std::size_t nr, float beta, float* c,
+                  std::size_t ldc) {
   static_assert(kMr == 4, "micro_kernel unrolls exactly kMr accumulator rows");
   static_assert(kNr % L == 0, "lane width must divide the register tile");
   using V = typename VecOf<L>::type;
@@ -154,92 +143,17 @@ void micro_kernel_t(const float* a_panel, const float* b_panel, std::size_t k,
   }
 }
 
-#else  // portable scalar fallback
-
-void micro_kernel_scalar(const float* a_panel, const float* b_panel,
-                         std::size_t k, std::size_t mr, std::size_t nr,
-                         float beta, float* c, std::size_t ldc) {
-  float acc[kMr][kNr];
-  for (std::size_t r = 0; r < kMr; ++r) {
-    for (std::size_t col = 0; col < kNr; ++col) acc[r][col] = 0.0f;
-  }
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    const float* arow = a_panel + kk * kMr;
-    const float* brow = b_panel + kk * kNr;
-    for (std::size_t r = 0; r < kMr; ++r) {
-      const float av = arow[r];
-      for (std::size_t col = 0; col < kNr; ++col) acc[r][col] += av * brow[col];
-    }
-  }
-  for (std::size_t r = 0; r < mr; ++r) {
-    float* crow = c + r * ldc;
-    for (std::size_t col = 0; col < nr; ++col) {
-      crow[col] = (beta == 0.0f ? 0.0f : beta * crow[col]) + acc[r][col];
-    }
-  }
-}
-
-#endif
-
-using MicroKernelFn = void (*)(const float*, const float*, std::size_t,
+template void micro_kernel<4>(const float*, const float*, std::size_t,
+                              std::size_t, std::size_t, float, float*,
+                              std::size_t);
+template void micro_kernel<8>(const float*, const float*, std::size_t,
+                              std::size_t, std::size_t, float, float*,
+                              std::size_t);
+template void micro_kernel<16>(const float*, const float*, std::size_t,
                                std::size_t, std::size_t, float, float*,
                                std::size_t);
 
-/// 0 = use the startup selection; 8/16 = forced by force_simd_width().
-std::atomic<std::size_t> g_forced_lanes{0};
-
-/// Startup selection: prefer the 16-lane build when the CPU has 512-bit
-/// vectors, else the 8-lane one (which GCC lowers to AVX2/NEON-width
-/// ops). FEDCAV_SIMD=8|16 overrides for A/B testing. Evaluated once.
-std::size_t detect_lanes() {
-#ifdef FEDCAV_GEMM_VECTOR_KERNEL
-  if (const char* env = std::getenv("FEDCAV_SIMD")) {
-    if (std::strcmp(env, "8") == 0) return 8;
-    if (std::strcmp(env, "16") == 0) return 16;
-  }
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx512f") ? 16 : 8;
-#else
-  return 16;  // one wide GNU vector; the compiler splits it as needed
-#endif
-#else
-  return 0;  // scalar fallback build
-#endif
-}
-
-std::size_t startup_lanes() {
-  static const std::size_t lanes = detect_lanes();
-  return lanes;
-}
-
-MicroKernelFn micro_kernel_for(std::size_t lanes) {
-#ifdef FEDCAV_GEMM_VECTOR_KERNEL
-  return lanes == 8 ? &micro_kernel_t<8> : &micro_kernel_t<16>;
-#else
-  (void)lanes;
-  return &micro_kernel_scalar;
-#endif
-}
-
-MicroKernelFn active_micro_kernel() {
-  const std::size_t forced = g_forced_lanes.load(std::memory_order_relaxed);
-  return micro_kernel_for(forced != 0 ? forced : startup_lanes());
-}
-
-}  // namespace
-
-std::size_t simd_width() {
-  const std::size_t forced = g_forced_lanes.load(std::memory_order_relaxed);
-  if (forced != 0) return forced;
-  const std::size_t lanes = startup_lanes();
-  return lanes == 0 ? 1 : lanes;
-}
-
-void force_simd_width(std::size_t lanes) {
-  FEDCAV_REQUIRE(lanes == 0 || lanes == 8 || lanes == 16,
-                 "force_simd_width: lanes must be 0, 8, or 16");
-  g_forced_lanes.store(lanes, std::memory_order_relaxed);
-}
+}  // namespace detail
 
 PackedA pack_a(Trans ta, std::size_t m, std::size_t k, const float* a,
                std::size_t lda) {
@@ -300,7 +214,6 @@ void gemm_prepacked(const PackedA& a, Trans tb, std::size_t n, const float* b,
     }
     return;
   }
-  const MicroKernelFn kernel = active_micro_kernel();
   const std::size_t a_tiles = (m + kMr - 1) / kMr;
   const std::size_t j_tiles = (n + kNr - 1) / kNr;
   std::vector<float>& panel = b_panel_scratch();
@@ -316,8 +229,9 @@ void gemm_prepacked(const PackedA& a, Trans tb, std::size_t n, const float* b,
       for (std::size_t t = 0; t < a_tiles; ++t) {
         const std::size_t i0 = t * kMr;
         const std::size_t mr = std::min(kMr, m - i0);
-        kernel(a.data.data() + t * k * kMr + k0 * kMr, panel.data(), kc, mr,
-               std::min(kNr, n - j0), blk_beta, c + i0 * ldc + j0, ldc);
+        detail::micro_kernel<kGemmLanes>(
+            a.data.data() + t * k * kMr + k0 * kMr, panel.data(), kc, mr,
+            std::min(kNr, n - j0), blk_beta, c + i0 * ldc + j0, ldc);
       }
     }
   }

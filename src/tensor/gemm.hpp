@@ -39,11 +39,25 @@ enum class Trans : bool { kNo = false, kYes = true };
 inline constexpr std::size_t kGemmMr = 4;
 inline constexpr std::size_t kGemmNr = 16;
 
+/// Vector lane width the micro-kernel is compiled at: the compile
+/// target's float vector width, so each lane group is one hardware op
+/// (16 = one AVX-512 register per C row, 8 = two AVX registers, 4 =
+/// four SSE/NEON registers). It follows the target, not the CPU the
+/// binary later runs on: a kernel wider than the target's vectors is
+/// split by the compiler into slow emulated ops. Every width is
+/// bit-identical per lane (tests/test_gemm.cpp checks all three).
+#if defined(__AVX512F__)
+inline constexpr std::size_t kGemmLanes = 16;
+#elif defined(__AVX__)
+inline constexpr std::size_t kGemmLanes = 8;
+#else
+inline constexpr std::size_t kGemmLanes = 4;
+#endif
+
 /// op(A) packed into kGemmMr-row panels (k-major within a panel), zero
-/// padded to a multiple of kGemmMr rows. Build once with pack_a() and
-/// reuse across gemm_prepacked() calls whose A operand is unchanged —
-/// Conv2D does this across the per-image im2col loop, since the weight
-/// matrix is invariant within a batch.
+/// padded to a multiple of kGemmMr rows. Conv2D repacks its weights
+/// into a member PackedA on every fused pass (pack_a_into), so the panel
+/// buffer is reused instead of allocated per call.
 struct PackedA {
   std::vector<float> data;
   std::size_t m = 0;  // logical rows of op(A)
@@ -73,20 +87,23 @@ void gemm(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k,
 void gemm_prepacked(const PackedA& a, Trans tb, std::size_t n, const float* b,
                     std::size_t ldb, float beta, float* c, std::size_t ldc);
 
-/// Hardware lane width the micro-kernel currently runs at: 16 (one
-/// 64-byte vector per accumulator row) or 8 (two 32-byte vectors), both
-/// bit-identical per lane; 1 on the portable scalar fallback. Selected
-/// once at startup from CPU capability (FEDCAV_SIMD=8|16 overrides).
-std::size_t simd_width();
-
-/// Test hook: force the micro-kernel lane width (8 or 16); 0 restores
-/// the startup selection. test_parallel_kernels asserts the two widths
-/// produce bit-identical results.
-void force_simd_width(std::size_t lanes);
-
 /// Tensor-level entry with shape validation: C = op(A)·op(B) + beta·C.
 /// Shapes: op(A) m×k, op(B) k×n, C preallocated m×n.
 void gemm(Trans ta, Trans tb, const Tensor& a, const Tensor& b, Tensor& c,
           float beta = 0.0f);
+
+namespace detail {
+
+/// The register-tiled inner kernel at lane width L: C[0:mr, 0:nr] (row
+/// stride ldc) gets beta·C plus the length-k contraction of one packed
+/// A panel (k × kGemmMr) with one packed B panel (k × kGemmNr).
+/// gemm_prepacked() runs L = kGemmLanes; gemm.cpp instantiates 4, 8 and
+/// 16 so tests can compare the widths on any host.
+template <std::size_t L>
+void micro_kernel(const float* a_panel, const float* b_panel, std::size_t k,
+                  std::size_t mr, std::size_t nr, float beta, float* c,
+                  std::size_t ldc);
+
+}  // namespace detail
 
 }  // namespace fedcav::ops

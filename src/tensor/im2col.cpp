@@ -1,32 +1,8 @@
 #include "src/tensor/im2col.hpp"
 
-#include <algorithm>
-#include <cstring>
-
 #include "src/utils/error.hpp"
 
 namespace fedcav {
-
-namespace {
-
-// The x-positions whose source column sx = x*stride + k - pad lands
-// inside [0, in_w) form one contiguous interval [x_lo, x_hi); computing
-// it once per row replaces the per-element bounds branch, which the
-// profile showed costing as much as the GEMMs themselves.
-void valid_range(std::size_t count, std::size_t stride, std::size_t k,
-                 std::size_t pad, std::size_t limit, std::size_t& lo,
-                 std::size_t& hi) {
-  const long long off = static_cast<long long>(k) - static_cast<long long>(pad);
-  const long long s = static_cast<long long>(stride);
-  lo = off >= 0 ? 0
-                : std::min(count, static_cast<std::size_t>((-off + s - 1) / s));
-  const long long len = static_cast<long long>(limit) - off;
-  hi = len > 0 ? std::min(count, static_cast<std::size_t>((len + s - 1) / s))
-               : 0;
-  if (hi < lo) hi = lo;
-}
-
-}  // namespace
 
 void Conv2dGeometry::validate() const {
   FEDCAV_REQUIRE(in_channels > 0 && in_h > 0 && in_w > 0, "Conv2dGeometry: empty input");
@@ -34,101 +10,6 @@ void Conv2dGeometry::validate() const {
   FEDCAV_REQUIRE(stride > 0, "Conv2dGeometry: zero stride");
   FEDCAV_REQUIRE(in_h + 2 * pad >= kernel_h && in_w + 2 * pad >= kernel_w,
                  "Conv2dGeometry: kernel larger than padded input");
-}
-
-void im2col(const Conv2dGeometry& g, const float* image, float* cols, std::size_t ld) {
-  const std::size_t oh = g.out_h();
-  const std::size_t ow = g.out_w();
-  std::size_t row = 0;
-  for (std::size_t c = 0; c < g.in_channels; ++c) {
-    const float* chan = image + c * g.in_h * g.in_w;
-    for (std::size_t kh = 0; kh < g.kernel_h; ++kh) {
-      std::size_t y_lo, y_hi;
-      valid_range(oh, g.stride, kh, g.pad, g.in_h, y_lo, y_hi);
-      for (std::size_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
-        std::size_t x_lo, x_hi;
-        valid_range(ow, g.stride, kw, g.pad, g.in_w, x_lo, x_hi);
-        const long long x_off =
-            static_cast<long long>(kw) - static_cast<long long>(g.pad);
-        float* dst = cols + row * ld;
-        if (y_lo > 0) std::memset(dst, 0, y_lo * ow * sizeof(float));
-        if (y_hi < oh) {
-          std::memset(dst + y_hi * ow, 0, (oh - y_hi) * ow * sizeof(float));
-        }
-        for (std::size_t y = y_lo; y < y_hi; ++y) {
-          const std::size_t sy = y * g.stride + kh - g.pad;
-          const float* srow = chan + sy * g.in_w;
-          float* d = dst + y * ow;
-          for (std::size_t x = 0; x < x_lo; ++x) d[x] = 0.0f;
-          if (g.stride == 1) {
-            // An open-coded copy, not memcpy: rows here are a handful of
-            // floats (≤ out_w) and the call overhead of a libc memcpy
-            // dwarfs the copy itself at that size.
-            const float* __restrict__ s =
-                srow + static_cast<std::size_t>(
-                           static_cast<long long>(x_lo) + x_off);
-            float* __restrict__ dr = d + x_lo;
-            const std::size_t len = x_hi - x_lo;
-            for (std::size_t x = 0; x < len; ++x) dr[x] = s[x];
-          } else {
-            for (std::size_t x = x_lo; x < x_hi; ++x) {
-              d[x] = srow[static_cast<std::size_t>(
-                  static_cast<long long>(x * g.stride) + x_off)];
-            }
-          }
-          for (std::size_t x = x_hi; x < ow; ++x) d[x] = 0.0f;
-        }
-      }
-    }
-  }
-}
-
-void im2col(const Conv2dGeometry& g, const float* image, Tensor& cols) {
-  FEDCAV_REQUIRE(cols.shape().rank() == 2 && cols.shape()[0] == g.col_rows() &&
-                     cols.shape()[1] == g.col_cols(),
-                 "im2col: cols shape mismatch");
-  im2col(g, image, cols.data(), g.col_cols());
-}
-
-void col2im(const Conv2dGeometry& g, const float* cols, std::size_t ld,
-            float* grad_image) {
-  const std::size_t oh = g.out_h();
-  const std::size_t ow = g.out_w();
-  std::size_t row = 0;
-  for (std::size_t c = 0; c < g.in_channels; ++c) {
-    float* chan = grad_image + c * g.in_h * g.in_w;
-    for (std::size_t kh = 0; kh < g.kernel_h; ++kh) {
-      std::size_t y_lo, y_hi;
-      valid_range(oh, g.stride, kh, g.pad, g.in_h, y_lo, y_hi);
-      for (std::size_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
-        std::size_t x_lo, x_hi;
-        valid_range(ow, g.stride, kw, g.pad, g.in_w, x_lo, x_hi);
-        const long long x_off =
-            static_cast<long long>(kw) - static_cast<long long>(g.pad);
-        const float* src = cols + row * ld;
-        for (std::size_t y = y_lo; y < y_hi; ++y) {
-          const std::size_t sy = y * g.stride + kh - g.pad;
-          float* drow = chan + sy * g.in_w;
-          // restrict: the column matrix and the image gradient are
-          // always distinct buffers; without the promise the += loop
-          // cannot vectorize.
-          const float* __restrict__ s = src + y * ow;
-          if (g.stride == 1) {
-            float* __restrict__ d =
-                drow + static_cast<std::size_t>(
-                           static_cast<long long>(x_lo) + x_off);
-            const std::size_t len = x_hi - x_lo;
-            for (std::size_t x = 0; x < len; ++x) d[x] += s[x_lo + x];
-          } else {
-            for (std::size_t x = x_lo; x < x_hi; ++x) {
-              drow[static_cast<std::size_t>(
-                  static_cast<long long>(x * g.stride) + x_off)] += s[x];
-            }
-          }
-        }
-      }
-    }
-  }
 }
 
 void im2col_padded(const Conv2dGeometry& g, const float* padded, float* cols,
@@ -193,13 +74,6 @@ void col2im_padded(const Conv2dGeometry& g, const float* cols, std::size_t ld,
       }
     }
   }
-}
-
-void col2im(const Conv2dGeometry& g, const Tensor& cols, float* grad_image) {
-  FEDCAV_REQUIRE(cols.shape().rank() == 2 && cols.shape()[0] == g.col_rows() &&
-                     cols.shape()[1] == g.col_cols(),
-                 "col2im: cols shape mismatch");
-  col2im(g, cols.data(), g.col_cols(), grad_image);
 }
 
 }  // namespace fedcav

@@ -1,13 +1,13 @@
-// im2col / col2im: lower convolution to GEMM.
+// im2col / col2im over zero-padded images: lower convolution to GEMM.
 //
 // Layout convention: images are CHW (channels, height, width); the column
 // matrix is (C*KH*KW) × (OH*OW) so that `weights(OC, C*KH*KW) * cols`
-// yields the (OC, OH*OW) output feature map in one matmul.
+// yields the (OC, OH*OW) output feature map in one matmul. Callers pad
+// the image first (Conv2D keeps a zeroed scratch whose pad ring stays
+// zero), so neither walk checks bounds.
 #pragma once
 
 #include <cstddef>
-
-#include "src/tensor/tensor.hpp"
 
 namespace fedcav {
 
@@ -29,38 +29,20 @@ struct Conv2dGeometry {
   void validate() const;
 };
 
-/// Expand one CHW image (`image` has numel C*H*W) into the column matrix
-/// `cols` (col_rows × col_cols, preallocated). Zero padding.
-void im2col(const Conv2dGeometry& g, const float* image, Tensor& cols);
-
-/// Raw-pointer, strided variant for batch-fused convolution: row r of
-/// the expansion lands at cols + r*ld (ld >= col_cols()). A whole batch
-/// shares one (col_rows × batch·col_cols) matrix by passing, for image
-/// b, `cols = base + b*col_cols()` with `ld = batch*col_cols()`.
-void im2col(const Conv2dGeometry& g, const float* image, float* cols, std::size_t ld);
-
-/// Scatter-add the column-matrix gradient back into an image gradient
-/// (`grad_image` has numel C*H*W and is accumulated into, not zeroed).
-void col2im(const Conv2dGeometry& g, const Tensor& cols, float* grad_image);
-
-/// Strided raw-pointer variant mirroring the strided im2col above.
-void col2im(const Conv2dGeometry& g, const float* cols, std::size_t ld, float* grad_image);
-
-/// Fast lowering from a PRE-PADDED image: `padded` holds C planes of
-/// (in_h+2·pad) rows × (in_w+2·pad) floats with the pad lanes zero.
-/// Because every source coordinate is in bounds by construction, the
-/// per-element bounds logic of the plain im2col disappears and each
-/// expansion row is a branch-free strided copy — the plain variant's
-/// range bookkeeping costs more than the GEMMs on sub-8×8 planes.
-/// Writes exactly the same values as im2col(g, image, cols, ld).
+/// Lower one PRE-PADDED CHW image: `padded` holds C planes of
+/// (in_h+2·pad) rows × (in_w+2·pad) floats with the pad lanes zero. Row
+/// r of the expansion lands at cols + r*ld (ld >= col_cols()), so a
+/// whole batch shares one (col_rows × batch·col_cols) matrix by passing,
+/// for image b, `cols = base + b*col_cols()` with `ld = batch*col_cols()`.
+/// Every source coordinate is in bounds by construction, so each
+/// expansion row is a branch-free strided copy.
 void im2col_padded(const Conv2dGeometry& g, const float* padded, float* cols,
                    std::size_t ld);
 
-/// Scatter-add the column gradient into a PRE-ZEROED padded image buffer
-/// (same layout as im2col_padded's input; the caller unpads afterwards,
-/// dropping the gradient the pad ring absorbed). Accumulation order per
-/// destination pixel is the (kh, kw) ascending walk of the plain col2im,
-/// so unpadding into a zeroed image gradient reproduces it bit-exactly.
+/// Scatter-add the column gradient (same strided layout) into a
+/// PRE-ZEROED padded image buffer laid out as im2col_padded's input; the
+/// caller unpads afterwards, dropping the gradient the pad ring absorbed.
+/// Each destination pixel accumulates in ascending (c, kh, kw) row order.
 void col2im_padded(const Conv2dGeometry& g, const float* cols, std::size_t ld,
                    float* padded);
 

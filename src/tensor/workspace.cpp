@@ -32,9 +32,4 @@ Tensor& Workspace::zeroed_once(std::size_t slot, const Shape& shape) {
   return t;
 }
 
-void Workspace::release() {
-  slots_.clear();
-  zeroed_shapes_.clear();
-}
-
 }  // namespace fedcav

@@ -36,7 +36,7 @@ class Workspace {
   /// Allocation-free once the slot's capacity covers the shape.
   Tensor& get(std::size_t slot, const Shape& shape);
 
-  /// Same, but zero-filled (for accumulation targets like col2im's dx).
+  /// Same, but zero-filled (for accumulation targets like pooling's dx).
   Tensor& zeroed(std::size_t slot, const Shape& shape);
 
   /// Zero-filled on the FIRST pass through a shape only; later passes
@@ -49,9 +49,6 @@ class Workspace {
   /// An existing slot, contents preserved (throws if never populated).
   /// Used by backward passes to read buffers their forward pass filled.
   const Tensor& at(std::size_t slot) const;
-
-  /// Drop every buffer (used by tests; layers normally never shrink).
-  void release();
 
  private:
   // deque, not vector: growing for a new slot must not move existing

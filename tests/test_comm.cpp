@@ -47,25 +47,6 @@ TEST(Message, ClientReportRoundTrip) {
   EXPECT_EQ(back.weights, msg.weights);
 }
 
-TEST(Message, ControlRoundTrip) {
-  ControlMsg msg;
-  msg.round = 9;
-  msg.action = ControlAction::kRejectAndReverse;
-  const ByteBuffer wire = msg.encode();
-  ByteReader reader(wire);
-  const ControlMsg back = ControlMsg::decode(reader);
-  EXPECT_EQ(back.round, 9u);
-  EXPECT_EQ(back.action, ControlAction::kRejectAndReverse);
-}
-
-TEST(Message, ControlRejectsUnknownAction) {
-  ByteBuffer wire;
-  write_u64(wire, 9);
-  write_u64(wire, 99);
-  ByteReader reader(wire);
-  EXPECT_THROW(ControlMsg::decode(reader), Error);
-}
-
 TEST(Message, ClientReportCostsExactlyOneFloatMoreThanWeightsPlusMeta) {
   // §6 overhead claim: FedCav's extra payload per client is one float
   // (the f64 inference loss) on top of what FedAvg must already ship.
@@ -90,13 +71,30 @@ TEST(Envelope, RoundTripPreservesTypeAndPayload) {
 }
 
 TEST(Envelope, RejectsUnknownType) {
-  ByteBuffer wire;
-  write_u64(wire, 77);
-  EXPECT_THROW(Envelope::decode(wire), Error);
+  // CRC-valid images, so the tag check is what rejects them: 0 and 8
+  // bracket the known range, 3 is the retired tag inside it.
+  for (const std::uint64_t tag : {0u, 3u, 8u, 77u}) {
+    const ByteBuffer wire =
+        Envelope{static_cast<MessageType>(tag), ByteBuffer(16, 0)}.encode();
+    EXPECT_FALSE(Envelope::try_decode(wire).has_value()) << "tag " << tag;
+    EXPECT_THROW(Envelope::decode(wire), Error) << "tag " << tag;
+  }
+  // The same framing around a known tag decodes.
+  EXPECT_TRUE(Envelope::try_decode(
+                  Envelope{MessageType::kNack, ByteBuffer(16, 0)}.encode())
+                  .has_value());
+  // A NACK naming an unknown expected type is rejected the same way.
+  for (const std::uint64_t tag : {0u, 3u, 8u}) {
+    ByteBuffer nack;
+    write_u64(nack, 12);
+    write_u64(nack, tag);
+    ByteReader reader(nack);
+    EXPECT_THROW(NackMsg::decode(reader), Error) << "expected type " << tag;
+  }
 }
 
 TEST(Envelope, WireSizeIncludesTypeTagAndCrc) {
-  Envelope env{MessageType::kControl, ByteBuffer(10, 0)};
+  Envelope env{MessageType::kMetadataReport, ByteBuffer(10, 0)};
   EXPECT_EQ(env.wire_size(), 22u);  // 8 tag + 10 payload + 4 CRC
   EXPECT_EQ(env.encode().size(), env.wire_size());
 }
@@ -221,9 +219,9 @@ TEST(Envelope, CorruptedWireFailsCrcBeforeMessageDecode) {
 }
 
 TEST(Envelope, TruncatedWireNeverReachesMessageDecode) {
-  ControlMsg msg;
+  MetadataMsg msg;
   msg.round = 2;
-  const ByteBuffer wire = Envelope{MessageType::kControl, msg.encode()}.encode();
+  const ByteBuffer wire = Envelope{MessageType::kMetadataReport, msg.encode()}.encode();
   for (std::size_t len = 0; len < wire.size(); ++len) {
     const ByteBuffer cut(wire.begin(), wire.begin() + static_cast<long>(len));
     EXPECT_FALSE(Envelope::try_decode(cut).has_value()) << "length " << len;
@@ -253,9 +251,15 @@ TEST(Envelope, CompressedPayloadIsCrcProtectedToo) {
 // ------------------------------------------------------------- network
 
 Envelope tiny_envelope() {
-  ControlMsg msg;
+  MetadataMsg msg;
   msg.round = 1;
-  return Envelope{MessageType::kControl, msg.encode()};
+  return Envelope{MessageType::kMetadataReport, msg.encode()};
+}
+
+NetworkConfig endpoint_config(std::size_t n) {
+  NetworkConfig config;
+  config.num_endpoints = n;
+  return config;
 }
 
 /// Strictly decode a popped wire image; these fabrics are fault-free.
@@ -265,23 +269,23 @@ std::optional<Envelope> decoded(const std::optional<ByteBuffer>& wire) {
 }
 
 TEST(Network, SendThenReceive) {
-  InMemoryNetwork net(NetworkConfig{.num_endpoints = 3});
+  InMemoryNetwork net(endpoint_config(3));
   net.send(0, 2, tiny_envelope());
   auto got = decoded(net.try_recv_wire(2, 0));
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->type, MessageType::kControl);
+  EXPECT_EQ(got->type, MessageType::kMetadataReport);
   EXPECT_FALSE(net.try_recv_wire(2, 0).has_value());
 }
 
 TEST(Network, RecvFiltersBySource) {
-  InMemoryNetwork net(NetworkConfig{.num_endpoints = 3});
+  InMemoryNetwork net(endpoint_config(3));
   net.send(1, 0, tiny_envelope());
   EXPECT_FALSE(net.try_recv_wire(0, 2).has_value());
   EXPECT_TRUE(decoded(net.try_recv_wire(0, 1)).has_value());
 }
 
 TEST(Network, RecvAnyReturnsFifoWithSource) {
-  InMemoryNetwork net(NetworkConfig{.num_endpoints = 3});
+  InMemoryNetwork net(endpoint_config(3));
   net.send(1, 0, tiny_envelope());
   net.send(2, 0, tiny_envelope());
   std::size_t src = 99;
@@ -297,11 +301,11 @@ TEST(Network, RecvAnyReturnsFifoWithSource) {
 // fairness contract. The old implementation popped the inbox in pure
 // arrival order, so a fast high-rank sender could starve rank 1.
 TEST(Network, RecvAnyDrainsLowestRankFirst) {
-  InMemoryNetwork net(NetworkConfig{.num_endpoints = 4});
+  InMemoryNetwork net(endpoint_config(4));
   auto round_envelope = [](std::uint64_t round) {
-    ControlMsg msg;
+    MetadataMsg msg;
     msg.round = round;
-    return Envelope{MessageType::kControl, msg.encode()};
+    return Envelope{MessageType::kMetadataReport, msg.encode()};
   };
   // Arrival order 3, 2, 2, 1 — drain order must be 1, 2, 2, 3, with
   // per-source FIFO preserved (rank 2's round-10 before its round-11).
@@ -317,13 +321,13 @@ TEST(Network, RecvAnyDrainsLowestRankFirst) {
     ASSERT_TRUE(env.has_value());
     EXPECT_EQ(src, want_src);
     ByteReader reader(env->payload);
-    EXPECT_EQ(ControlMsg::decode(reader).round, want_round);
+    EXPECT_EQ(MetadataMsg::decode(reader).round, want_round);
   }
   EXPECT_FALSE(net.try_recv_any_wire(0, nullptr).has_value());
 }
 
 TEST(Network, CountsBytesAndMessages) {
-  InMemoryNetwork net(NetworkConfig{.num_endpoints = 2});
+  InMemoryNetwork net(endpoint_config(2));
   const Envelope env = tiny_envelope();
   net.send(0, 1, env);
   net.send(0, 1, env);
@@ -334,7 +338,7 @@ TEST(Network, CountsBytesAndMessages) {
 }
 
 TEST(Network, TotalStatsSumEndpoints) {
-  InMemoryNetwork net(NetworkConfig{.num_endpoints = 3});
+  InMemoryNetwork net(endpoint_config(3));
   net.send(0, 1, tiny_envelope());
   net.send(1, 0, tiny_envelope());
   EXPECT_EQ(net.total_stats().messages_sent, 2u);
@@ -362,7 +366,7 @@ TEST(Network, SimulatedTimeAccumulates) {
 }
 
 TEST(Network, RejectsInvalidEndpoints) {
-  InMemoryNetwork net(NetworkConfig{.num_endpoints = 2});
+  InMemoryNetwork net(endpoint_config(2));
   EXPECT_THROW(net.send(0, 2, tiny_envelope()), Error);
   EXPECT_THROW(net.send(0, 0, tiny_envelope()), Error);
   EXPECT_THROW(net.try_recv_wire(5, 0), Error);
@@ -402,11 +406,11 @@ TEST(Network, StateIsLinearInEndpoints) {
 }
 
 TEST(Network, RequiresTwoEndpoints) {
-  EXPECT_THROW(InMemoryNetwork(NetworkConfig{.num_endpoints = 1}), Error);
+  EXPECT_THROW(InMemoryNetwork(endpoint_config(1)), Error);
 }
 
 TEST(Network, PendingMessagesTracksQueue) {
-  InMemoryNetwork net(NetworkConfig{.num_endpoints = 3});
+  InMemoryNetwork net(endpoint_config(3));
   EXPECT_EQ(net.pending_messages(), 0u);
   net.send(0, 1, tiny_envelope());
   net.send(0, 2, tiny_envelope());
@@ -496,16 +500,16 @@ TEST(Faults, ReorderLetsLaterMessageOvertake) {
   FaultPlan plan;
   plan.reorder_prob = 1.0;
   InMemoryNetwork net(faulty_config(plan));
-  ControlMsg first;
+  MetadataMsg first;
   first.round = 1;
-  ControlMsg second;
+  MetadataMsg second;
   second.round = 2;
-  net.send(0, 1, Envelope{MessageType::kControl, first.encode()});
-  net.send(0, 1, Envelope{MessageType::kControl, second.encode()});
+  net.send(0, 1, Envelope{MessageType::kMetadataReport, first.encode()});
+  net.send(0, 1, Envelope{MessageType::kMetadataReport, second.encode()});
   auto env = Envelope::try_decode(*net.try_recv_wire(1, 0));
   ASSERT_TRUE(env.has_value());
   ByteReader reader(env->payload);
-  EXPECT_EQ(ControlMsg::decode(reader).round, 2u);  // overtook its elder
+  EXPECT_EQ(MetadataMsg::decode(reader).round, 2u);  // overtook its elder
   EXPECT_EQ(net.fault_stats().reordered, 1u);
   expect_conservation(net);
 }
@@ -548,7 +552,7 @@ TEST(Faults, ZeroedPlanIsByteIdenticalToDefaultFabric) {
   FaultPlan zeroed;
   zeroed.seed = 1234;
   InMemoryNetwork with_plan(faulty_config(zeroed, 3));
-  InMemoryNetwork plain(NetworkConfig{.num_endpoints = 3});
+  InMemoryNetwork plain(endpoint_config(3));
   for (auto* net : {&with_plan, &plain}) {
     net->begin_round(1);
     net->send(0, 1, tiny_envelope());
@@ -666,7 +670,7 @@ TEST(Faults, LoadStateRejectsMismatchedFabric) {
     EXPECT_THROW(wrong_size.load_state(reader), Error);
   }
   {
-    InMemoryNetwork no_faults(NetworkConfig{.num_endpoints = 3});
+    InMemoryNetwork no_faults(endpoint_config(3));
     ByteReader reader(buf);
     EXPECT_THROW(no_faults.load_state(reader), Error);
   }

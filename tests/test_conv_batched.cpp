@@ -1,10 +1,12 @@
-// Batched im2col-GEMM convolution vs a naive direct-convolution oracle.
+// Conv2D's two layouts vs a naive direct-convolution oracle.
 //
-// Conv2D lowers the whole batch into one (col_rows × batch·oh·ow) column
-// matrix and runs a single GEMM per call; these tests pin that fused path
+// Conv2D either lowers the whole batch into one (col_rows × batch·oh·ow)
+// column matrix and runs a single GEMM per call (fused), or convolves
+// each image directly over a padded copy (direct). These tests pin both
 // to the textbook quadruple loop on awkward geometries (padding, stride,
-// edge-tile channel counts) for batch = 1 and batch > 1, plus
-// finite-difference gradient checks on the same geometries.
+// edge-tile channel counts, planes on both sides of the layout
+// crossover) for batch = 1 and batch > 1, plus finite-difference
+// gradient checks on the same geometries.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -71,6 +73,10 @@ const ConvCase kCases[] = {
     {2, 2, 3, 1, 1, 5, 1, 2},   // 1×1 input under a 5×5 kernel: every
                                 // kernel row/col but the centre is pure
                                 // padding (degenerate valid intervals)
+    {2, 2, 3, 20, 20, 3, 2, 1},   // strided, 10×10 plane: fused above
+                                  // 64 columns per image
+    {2, 4, 16, 18, 18, 3, 1, 1},  // stride 1 but 18-wide rows, past the
+                                  // direct kernels' 16 lanes: fused
 };
 
 class ConvBatched : public ::testing::TestWithParam<ConvCase> {};

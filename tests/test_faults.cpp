@@ -497,7 +497,7 @@ std::unique_ptr<comm::InMemoryNetwork> edge_fabric(const comm::FaultPlan& faults
 
 comm::Envelope edge_envelope(std::uint8_t fill = 0x5a) {
   comm::Envelope env;
-  env.type = comm::MessageType::kControl;
+  env.type = comm::MessageType::kMetadataReport;
   env.payload.assign(24, fill);
   return env;
 }

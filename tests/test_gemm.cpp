@@ -251,5 +251,49 @@ TEST(Gemm, StridedOutputLeavesGapsUntouched) {
   }
 }
 
+TEST(Gemm, LaneWidthsAreBitIdentical) {
+  // gemm_prepacked() runs the micro-kernel at the compile target's
+  // vector width (kGemmLanes), so a given host only ever executes one of
+  // the three builds. Run all three directly over full, short (mr ≤ 2)
+  // and edge (nr < kGemmNr) tiles and require the same C bits, gaps
+  // past nr and rows past mr included.
+  struct Tile {
+    std::size_t mr, nr;
+  };
+  constexpr Tile kTiles[] = {{4, 16}, {2, 16}, {1, 16}, {2, 5},
+                             {1, 1},  {4, 11}, {3, 16}, {3, 7}};
+  constexpr std::size_t kDepths[] = {1, 7, 64, 257};
+  constexpr std::size_t kLdc = 19;
+  Rng rng(21);
+  for (const std::size_t k : kDepths) {
+    std::vector<float> a_panel(k * kGemmMr);
+    std::vector<float> b_panel(k * kGemmNr);
+    for (float& v : a_panel) v = rng.uniform_f(-1.0f, 1.0f);
+    for (float& v : b_panel) v = rng.uniform_f(-1.0f, 1.0f);
+    std::vector<float> c0(kGemmMr * kLdc);
+    for (float& v : c0) v = rng.uniform_f(-1.0f, 1.0f);
+    for (const Tile& t : kTiles) {
+      for (const float beta : {0.0f, 1.0f}) {
+        std::vector<float> c4 = c0, c8 = c0, c16 = c0;
+        detail::micro_kernel<4>(a_panel.data(), b_panel.data(), k, t.mr, t.nr,
+                                beta, c4.data(), kLdc);
+        detail::micro_kernel<8>(a_panel.data(), b_panel.data(), k, t.mr, t.nr,
+                                beta, c8.data(), kLdc);
+        detail::micro_kernel<16>(a_panel.data(), b_panel.data(), k, t.mr,
+                                 t.nr, beta, c16.data(), kLdc);
+        const std::size_t bytes = c0.size() * sizeof(float);
+        EXPECT_EQ(0, std::memcmp(c4.data(), c16.data(), bytes))
+            << "4 vs 16 lanes: k " << k << ", mr " << t.mr << ", nr " << t.nr
+            << ", beta " << beta;
+        EXPECT_EQ(0, std::memcmp(c8.data(), c16.data(), bytes))
+            << "8 vs 16 lanes: k " << k << ", mr " << t.mr << ", nr " << t.nr
+            << ", beta " << beta;
+        EXPECT_NE(0, std::memcmp(c0.data(), c16.data(), bytes))
+            << "kernel left C untouched";
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fedcav::ops

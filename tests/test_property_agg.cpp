@@ -213,7 +213,7 @@ TEST(PropertyAgg, NetworkStateRoundTripPreservesTrafficAndFaultAccounting) {
       const std::size_t src = uplink ? client : 0;
       const std::size_t dst = uplink ? 0 : client;
       comm::Envelope env;
-      env.type = comm::MessageType::kControl;
+      env.type = comm::MessageType::kMetadataReport;
       env.payload = proptest::gen_bytes(rng, 32);
       net.send(src, dst, env);
       if (rng.bernoulli(0.4)) (void)net.try_recv_wire(dst, src);

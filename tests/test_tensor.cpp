@@ -297,55 +297,76 @@ TEST(Im2Col, GeometryValidation) {
 }
 
 TEST(Im2Col, IdentityKernelExtractsPixels) {
-  // 1x1 kernel: cols equals the flattened image.
+  // 1x1 kernel, no padding: cols equals the flattened image.
   Conv2dGeometry g{1, 3, 3, 1, 1, 1, 0};
   std::vector<float> img = {1, 2, 3, 4, 5, 6, 7, 8, 9};
-  Tensor cols(Shape::of(g.col_rows(), g.col_cols()));
-  im2col(g, img.data(), cols);
+  std::vector<float> cols(g.col_rows() * g.col_cols());
+  im2col_padded(g, img.data(), cols.data(), g.col_cols());
   for (std::size_t i = 0; i < 9; ++i) EXPECT_FLOAT_EQ(cols[i], img[i]);
+}
+
+// Zero-pad a CHW image into im2col_padded's input layout.
+std::vector<float> pad_image(const Conv2dGeometry& g, const std::vector<float>& img) {
+  const std::size_t pw = g.in_w + 2 * g.pad;
+  const std::size_t ph = g.in_h + 2 * g.pad;
+  std::vector<float> padded(g.in_channels * ph * pw, 0.0f);
+  for (std::size_t c = 0; c < g.in_channels; ++c) {
+    for (std::size_t y = 0; y < g.in_h; ++y) {
+      for (std::size_t x = 0; x < g.in_w; ++x) {
+        padded[(c * ph + y + g.pad) * pw + x + g.pad] =
+            img[(c * g.in_h + y) * g.in_w + x];
+      }
+    }
+  }
+  return padded;
 }
 
 TEST(Im2Col, PaddingProducesZeros) {
   Conv2dGeometry g{1, 2, 2, 3, 3, 1, 1};
   std::vector<float> img = {1, 2, 3, 4};
-  Tensor cols(Shape::of(g.col_rows(), g.col_cols()));
-  im2col(g, img.data(), cols);
+  const std::vector<float> padded = pad_image(g, img);
+  std::vector<float> cols(g.col_rows() * g.col_cols());
+  im2col_padded(g, padded.data(), cols.data(), g.col_cols());
   // Top-left window (kh=0, kw=0) at output (0,0) reads padded (-1,-1) = 0.
-  EXPECT_FLOAT_EQ(cols(0, 0), 0.0f);
+  EXPECT_FLOAT_EQ(cols[0 * g.col_cols() + 0], 0.0f);
   // Center tap (kh=1, kw=1) at output (0,0) reads pixel (0,0) = 1.
-  EXPECT_FLOAT_EQ(cols(4, 0), 1.0f);
+  EXPECT_FLOAT_EQ(cols[4 * g.col_cols() + 0], 1.0f);
 }
 
 TEST(Im2Col, Col2ImIsAdjointOfIm2Col) {
-  // <im2col(x), y> == <x, col2im(y)> for random x, y — the defining
-  // adjoint identity that makes conv backward correct.
+  // <lower(x), y> == <x, scatter(y)> for random x, y — the defining
+  // adjoint identity that makes conv backward correct. x is padded into
+  // a zeroed buffer before im2col_padded; col2im_padded scatters into a
+  // zeroed padded buffer whose interior is x's gradient (the pad ring
+  // is dropped).
   Rng rng(11);
   Conv2dGeometry g{2, 6, 6, 3, 3, 2, 1};
   std::vector<float> x(2 * 6 * 6);
   for (auto& v : x) v = rng.uniform_f(-1.0f, 1.0f);
   Tensor y = Tensor::uniform(Shape::of(g.col_rows(), g.col_cols()), rng, -1.0f, 1.0f);
 
-  Tensor cols(Shape::of(g.col_rows(), g.col_cols()));
-  im2col(g, x.data(), cols);
+  const std::vector<float> padded = pad_image(g, x);
+  std::vector<float> cols(g.col_rows() * g.col_cols());
+  im2col_padded(g, padded.data(), cols.data(), g.col_cols());
   double lhs = 0.0;
-  for (std::size_t i = 0; i < cols.numel(); ++i) {
+  for (std::size_t i = 0; i < cols.size(); ++i) {
     lhs += static_cast<double>(cols[i]) * static_cast<double>(y[i]);
   }
 
-  std::vector<float> back(x.size(), 0.0f);
-  col2im(g, y, back.data());
+  const std::size_t pw = g.in_w + 2 * g.pad;
+  const std::size_t ph = g.in_h + 2 * g.pad;
+  std::vector<float> back(g.in_channels * ph * pw, 0.0f);
+  col2im_padded(g, y.data(), g.col_cols(), back.data());
   double rhs = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    rhs += static_cast<double>(x[i]) * static_cast<double>(back[i]);
+  for (std::size_t c = 0; c < g.in_channels; ++c) {
+    for (std::size_t yy = 0; yy < g.in_h; ++yy) {
+      for (std::size_t xx = 0; xx < g.in_w; ++xx) {
+        rhs += static_cast<double>(x[(c * g.in_h + yy) * g.in_w + xx]) *
+               static_cast<double>(back[(c * ph + yy + g.pad) * pw + xx + g.pad]);
+      }
+    }
   }
   EXPECT_NEAR(lhs, rhs, 1e-3);
-}
-
-TEST(Im2Col, ColsShapeMismatchThrows) {
-  Conv2dGeometry g{1, 4, 4, 3, 3, 1, 0};
-  std::vector<float> img(16, 0.0f);
-  Tensor wrong(Shape::of(3, 3));
-  EXPECT_THROW(im2col(g, img.data(), wrong), Error);
 }
 
 // ----------------------------------------------------------- serialize

@@ -29,19 +29,19 @@
 namespace fedcav::comm {
 namespace {
 
-Envelope control_envelope(std::uint64_t round) {
-  ControlMsg msg;
+Envelope metadata_envelope(std::uint64_t round) {
+  MetadataMsg msg;
   msg.round = round;
-  return Envelope{MessageType::kControl, msg.encode()};
+  return Envelope{MessageType::kMetadataReport, msg.encode()};
 }
 
 // --------------------------------------------------------- FrameDecoder
 
 TEST(FrameDecoder, RoundTripsMultipleFrames) {
   ByteBuffer stream;
-  append_frame(stream, control_envelope(1).encode());
-  append_frame(stream, control_envelope(2).encode());
-  append_frame(stream, control_envelope(3).encode());
+  append_frame(stream, metadata_envelope(1).encode());
+  append_frame(stream, metadata_envelope(2).encode());
+  append_frame(stream, metadata_envelope(3).encode());
 
   FrameDecoder decoder(1 << 20);
   ASSERT_TRUE(decoder.push(stream.data(), stream.size()));
@@ -50,7 +50,7 @@ TEST(FrameDecoder, RoundTripsMultipleFrames) {
     ASSERT_TRUE(frame.has_value());
     const Envelope env = Envelope::decode(*frame);
     ByteReader reader(env.payload);
-    EXPECT_EQ(ControlMsg::decode(reader).round, round);
+    EXPECT_EQ(MetadataMsg::decode(reader).round, round);
   }
   EXPECT_FALSE(decoder.has_frame());
   EXPECT_FALSE(decoder.failed());
@@ -60,7 +60,7 @@ TEST(FrameDecoder, HandlesByteAtATimeDelivery) {
   // Partial reads are the norm on a stream socket: the 4-byte header
   // and the payload may straddle any number of read() calls.
   ByteBuffer stream;
-  append_frame(stream, control_envelope(7).encode());
+  append_frame(stream, metadata_envelope(7).encode());
   FrameDecoder decoder(1 << 20);
   for (const std::uint8_t byte : stream) {
     ASSERT_TRUE(decoder.push(&byte, 1));
@@ -69,7 +69,7 @@ TEST(FrameDecoder, HandlesByteAtATimeDelivery) {
   ASSERT_TRUE(frame.has_value());
   const Envelope env = Envelope::decode(*frame);
   ByteReader reader(env.payload);
-  EXPECT_EQ(ControlMsg::decode(reader).round, 7u);
+  EXPECT_EQ(MetadataMsg::decode(reader).round, 7u);
 }
 
 TEST(FrameDecoder, RejectsZeroLengthPrefix) {
@@ -90,7 +90,7 @@ TEST(FrameDecoder, RejectsOversizedPrefixBeforePayload) {
   EXPECT_NE(decoder.error().find("4294967295"), std::string::npos);
   // The failed state is terminal: even well-formed input is discarded.
   ByteBuffer good;
-  append_frame(good, control_envelope(1).encode());
+  append_frame(good, metadata_envelope(1).encode());
   EXPECT_FALSE(decoder.push(good.data(), good.size()));
   EXPECT_FALSE(decoder.has_frame());
 }
@@ -348,25 +348,25 @@ TEST(SocketTransport, EnvelopeRoundTripBothDirections) {
   auto daemon = SocketTransport::serve(path, 1, {});
   thread.join();
 
-  daemon->send(0, 1, control_envelope(5));
+  daemon->send(0, 1, metadata_envelope(5));
   std::optional<ByteBuffer> wire;
   while (!(wire = worker->try_recv_wire(1, 0)).has_value()) worker->poll(0.05);
   const Envelope down_env = Envelope::decode(*wire);
   ByteReader down(down_env.payload);
-  EXPECT_EQ(ControlMsg::decode(down).round, 5u);
+  EXPECT_EQ(MetadataMsg::decode(down).round, 5u);
 
-  worker->send(1, 0, control_envelope(6));
+  worker->send(1, 0, metadata_envelope(6));
   std::size_t src = 99;
   while (!(wire = daemon->try_recv_any_wire(0, &src)).has_value()) daemon->poll(0.05);
   EXPECT_EQ(src, 1u);
   const Envelope up_env = Envelope::decode(*wire);
   ByteReader up(up_env.payload);
-  EXPECT_EQ(ControlMsg::decode(up).round, 6u);
+  EXPECT_EQ(MetadataMsg::decode(up).round, 6u);
 
   // Byte metering matches the in-memory rule: the Envelope image only,
   // never the 4-byte length prefix.
-  EXPECT_EQ(daemon->stats(0).bytes_sent, control_envelope(5).wire_size());
-  EXPECT_EQ(daemon->stats(1).bytes_sent, control_envelope(6).wire_size());
+  EXPECT_EQ(daemon->stats(0).bytes_sent, metadata_envelope(5).wire_size());
+  EXPECT_EQ(daemon->stats(1).bytes_sent, metadata_envelope(6).wire_size());
 }
 
 TEST(SocketTransport, RecvAnyDrainsLowestRankFirst) {
@@ -382,10 +382,10 @@ TEST(SocketTransport, RecvAnyDrainsLowestRankFirst) {
   auto daemon = SocketTransport::serve(path, 2, {});
   workers.join();
 
-  w2->send(2, 0, control_envelope(22));
+  w2->send(2, 0, metadata_envelope(22));
   // Wait until rank 2's frame is queued before rank 1 even sends.
   while (daemon->pending_messages() < 1) daemon->poll(0.05);
-  w1->send(1, 0, control_envelope(11));
+  w1->send(1, 0, metadata_envelope(11));
   while (daemon->pending_messages() < 2) daemon->poll(0.05);
 
   std::size_t src = 99;
@@ -407,7 +407,7 @@ TEST(SocketTransport, PeerClosedOnlyAfterQueueDrained) {
   auto daemon = SocketTransport::serve(path, 1, {});
   thread.join();
 
-  worker->send(1, 0, control_envelope(9));
+  worker->send(1, 0, metadata_envelope(9));
   worker.reset();  // worker process "exits": daemon sees EOF
 
   // Drain EOF + the frame. poll() until the close is observed.
@@ -420,13 +420,13 @@ TEST(SocketTransport, PeerClosedOnlyAfterQueueDrained) {
     while (!(wire = daemon->try_recv_wire(0, 1)).has_value()) daemon->poll(0.05);
     const Envelope env = Envelope::decode(*wire);
     ByteReader reader(env.payload);
-    EXPECT_EQ(ControlMsg::decode(reader).round, 9u);
+    EXPECT_EQ(MetadataMsg::decode(reader).round, 9u);
   }
   while (!daemon->peer_closed(1)) daemon->poll(0.05);
   // Sends to the dead peer are metered, never throw (Transport rule).
   const std::uint64_t before = daemon->stats(0).bytes_sent;
-  daemon->send(0, 1, control_envelope(10));
-  EXPECT_EQ(daemon->stats(0).bytes_sent, before + control_envelope(10).wire_size());
+  daemon->send(0, 1, metadata_envelope(10));
+  EXPECT_EQ(daemon->stats(0).bytes_sent, before + metadata_envelope(10).wire_size());
 }
 
 TEST(SocketTransport, OversizedFrameDisconnectsPeer) {
@@ -440,9 +440,9 @@ TEST(SocketTransport, OversizedFrameDisconnectsPeer) {
   auto daemon = SocketTransport::serve(path, 1, small);
   thread.join();
 
-  ControlMsg msg;
+  MetadataMsg msg;
   msg.round = 1;
-  Envelope big{MessageType::kControl, msg.encode()};
+  Envelope big{MessageType::kMetadataReport, msg.encode()};
   big.payload.resize(256, 0);  // CRC now stale, but framing rejects first
   worker->send(1, 0, big);
   while (!daemon->peer_closed(1)) daemon->poll(0.05);
@@ -570,14 +570,14 @@ TEST(TcpTransport, EnvelopeRoundTripWithAuthAndMetering) {
   EXPECT_EQ(worker->local_rank(), 1u);
   EXPECT_EQ(worker->protocol_version(), kProtocolVersion);
 
-  daemon->send(0, 1, control_envelope(5));
+  daemon->send(0, 1, metadata_envelope(5));
   std::optional<ByteBuffer> wire;
   while (!(wire = worker->try_recv_wire(1, 0)).has_value()) worker->poll(0.05);
   const Envelope down_env = Envelope::decode(*wire);
   ByteReader down(down_env.payload);
-  EXPECT_EQ(ControlMsg::decode(down).round, 5u);
+  EXPECT_EQ(MetadataMsg::decode(down).round, 5u);
 
-  worker->send(1, 0, control_envelope(6));
+  worker->send(1, 0, metadata_envelope(6));
   std::size_t src = 99;
   while (!(wire = daemon->try_recv_any_wire(0, &src)).has_value()) {
     daemon->poll(0.05);
@@ -585,12 +585,12 @@ TEST(TcpTransport, EnvelopeRoundTripWithAuthAndMetering) {
   EXPECT_EQ(src, 1u);
   const Envelope up_env = Envelope::decode(*wire);
   ByteReader up(up_env.payload);
-  EXPECT_EQ(ControlMsg::decode(up).round, 6u);
+  EXPECT_EQ(MetadataMsg::decode(up).round, 6u);
 
   // Same metering rule as the Unix backend and InMemoryNetwork: the
   // Envelope image only, never the 4-byte length prefix.
-  EXPECT_EQ(daemon->stats(0).bytes_sent, control_envelope(5).wire_size());
-  EXPECT_EQ(daemon->stats(1).bytes_sent, control_envelope(6).wire_size());
+  EXPECT_EQ(daemon->stats(0).bytes_sent, metadata_envelope(5).wire_size());
+  EXPECT_EQ(daemon->stats(1).bytes_sent, metadata_envelope(6).wire_size());
 }
 
 TEST(TcpTransport, RejectsWrongAuthTokenWithoutConsumingRank) {
