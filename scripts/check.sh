@@ -6,10 +6,12 @@
 # FEDCAV_SANITIZE=ON (ASan+UBSan), and
 # finally with FEDCAV_SANITIZE=thread (TSan) over the concurrency-heavy
 # suites (thread pool, the round pipeline's WaveScheduler, obs
-# tracer/registry, server rounds, and the fault-injection chaos/golden
+# tracer/registry, server rounds, the fault-injection chaos/golden
 # suites — the retry protocol runs on pool threads, so TSan coverage
-# there is mandatory). Kernels are serial (DESIGN.md §13), but under
-# TSan they still run concurrently on separate replicas: GoldenRun
+# there is mandatory — and the in-memory fabric's Network suite: every
+# pool thread reads and reference-counts the round's one shared
+# downlink image in phase ①). Kernels are serial (DESIGN.md §13), but
+# under TSan they still run concurrently on separate replicas: GoldenRun
 # trains lenet5 clients on the multi-worker global pool, and
 # RoundEngineServer.*AcrossPoolSizes (selected by "Server") repeats
 # rounds at several pool sizes. Each configuration gets its own build
@@ -92,7 +94,7 @@ echo "==> multiproc smoke, tcp (sanitize)"
 timeout 600 "${repo}/scripts/multiproc_smoke.sh" "${repo}/build-sanitize" 2 2 tcp
 
 run_config "${repo}/build-tsan" \
-  "ThreadPool|WaveScheduler|Obs|CheckpointResume|Server|Integration|Chaos|Faults|GoldenRun" \
+  "ThreadPool|WaveScheduler|Obs|CheckpointResume|Server|Integration|Chaos|Faults|GoldenRun|Network" \
   -DFEDCAV_SANITIZE=thread
 
 echo "OK: plain, sanitized, and thread-sanitized tier-1 suites passed"

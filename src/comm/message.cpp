@@ -128,10 +128,6 @@ NackMsg NackMsg::decode(ByteReader& reader) {
   return msg;
 }
 
-namespace {
-constexpr std::size_t kEnvelopeFraming = sizeof(std::uint64_t) + sizeof(std::uint32_t);
-}
-
 ByteBuffer Envelope::encode() const {
   ByteBuffer buf;
   buf.reserve(wire_size());  // the payload is copied once, not again at the CRC append
@@ -141,10 +137,10 @@ ByteBuffer Envelope::encode() const {
   return buf;
 }
 
-std::optional<Envelope> Envelope::try_decode(const ByteBuffer& wire) {
+std::optional<EnvelopeView> Envelope::try_view(std::span<const std::uint8_t> wire) {
   if (wire.size() < kEnvelopeFraming) return std::nullopt;
   const std::size_t body = wire.size() - sizeof(std::uint32_t);
-  const std::uint32_t expected = crc32({wire.data(), body});
+  const std::uint32_t expected = crc32(wire.first(body));
   std::uint32_t stored = 0;
   for (int i = 0; i < 4; ++i) {
     stored |= static_cast<std::uint32_t>(wire[body + i]) << (8 * i);
@@ -153,10 +149,14 @@ std::optional<Envelope> Envelope::try_decode(const ByteBuffer& wire) {
   std::uint64_t t = 0;
   for (int i = 0; i < 8; ++i) t |= static_cast<std::uint64_t>(wire[i]) << (8 * i);
   if (!known_type(t)) return std::nullopt;
-  Envelope env;
-  env.type = static_cast<MessageType>(t);
-  env.payload.assign(wire.begin() + sizeof(std::uint64_t), wire.begin() + body);
-  return env;
+  return EnvelopeView{static_cast<MessageType>(t),
+                      wire.subspan(sizeof(std::uint64_t), body - sizeof(std::uint64_t))};
+}
+
+std::optional<Envelope> Envelope::try_decode(const ByteBuffer& wire) {
+  const std::optional<EnvelopeView> view = try_view(wire);
+  if (!view.has_value()) return std::nullopt;
+  return Envelope{view->type, ByteBuffer(view->payload.begin(), view->payload.end())};
 }
 
 Envelope Envelope::decode(const ByteBuffer& wire) {

@@ -15,7 +15,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -121,6 +123,23 @@ struct NackMsg {
   static NackMsg decode(ByteReader& reader);
 };
 
+/// An encoded envelope, immutable once built, so one image can sit in
+/// many queues at once: the in-memory fabric queues a round's downlink
+/// image on every link and copies it only when a fault mutates it.
+using WireImage = std::shared_ptr<const ByteBuffer>;
+
+/// Bytes an envelope adds around its payload: the type tag and the CRC.
+inline constexpr std::size_t kEnvelopeFraming = sizeof(std::uint64_t) + sizeof(std::uint32_t);
+
+/// A CRC-checked envelope whose payload aliases the wire image it was
+/// read from; valid only while that image lives.
+struct EnvelopeView {
+  MessageType type;
+  std::span<const std::uint8_t> payload;
+
+  std::size_t wire_size() const { return payload.size() + kEnvelopeFraming; }
+};
+
 /// Envelope: type tag + payload + CRC-32 of (tag || payload), as
 /// transmitted. The trailing checksum lets receivers reject in-flight
 /// corruption or truncation before any structural decode runs.
@@ -129,16 +148,17 @@ struct Envelope {
   ByteBuffer payload;
 
   ByteBuffer encode() const;
-  /// Strict decode for trusted fabrics: throws fedcav::Error on a short
-  /// buffer, CRC mismatch, or unknown type tag.
-  static Envelope decode(const ByteBuffer& wire);
-  /// Fault-aware decode: nullopt on the same conditions instead of
-  /// throwing. A payload is only handed to Message decode after the CRC
-  /// proves it arrived intact.
+  /// The one integrity check every receive runs: nullopt on a short
+  /// buffer, CRC mismatch, or unknown type tag. Nothing is copied; a
+  /// payload is only handed to Message decode after the CRC proves it
+  /// arrived intact.
+  static std::optional<EnvelopeView> try_view(std::span<const std::uint8_t> wire);
+  /// try_view, then copy the payload out.
   static std::optional<Envelope> try_decode(const ByteBuffer& wire);
-  std::size_t wire_size() const {
-    return payload.size() + sizeof(std::uint64_t) + sizeof(std::uint32_t);
-  }
+  /// Strict decode for trusted fabrics: throws fedcav::Error on the same
+  /// conditions.
+  static Envelope decode(const ByteBuffer& wire);
+  std::size_t wire_size() const { return payload.size() + kEnvelopeFraming; }
 };
 
 }  // namespace fedcav::comm

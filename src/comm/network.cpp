@@ -71,7 +71,7 @@ double InMemoryNetwork::model_transfer_seconds(std::size_t bytes) const {
   return config_.latency_s + static_cast<double>(bytes) / config_.bandwidth_bytes_per_s;
 }
 
-void InMemoryNetwork::enqueue(std::size_t src, std::size_t dst, ByteBuffer wire,
+void InMemoryNetwork::enqueue(std::size_t src, std::size_t dst, WireImage wire,
                               bool reorder) {
   auto& inbox = inboxes_[dst];
   if (reorder) {
@@ -89,18 +89,26 @@ void InMemoryNetwork::enqueue(std::size_t src, std::size_t dst, ByteBuffer wire,
 }
 
 void InMemoryNetwork::send(std::size_t src, std::size_t dst, const Envelope& env) {
-  const std::size_t index = link_index(src, dst);
   // Encode (copy + CRC) before taking the lock: the image is a pure
   // function of the caller's envelope, and concurrent senders then
   // serialize only on metering, fault draws and the enqueue.
-  ByteBuffer wire = env.encode();
+  deliver(src, dst, std::make_shared<const ByteBuffer>(env.encode()));
+}
+
+void InMemoryNetwork::send_image(std::size_t src, std::size_t dst, const Envelope& /*env*/,
+                                 const WireImage& image) {
+  deliver(src, dst, image);
+}
+
+void InMemoryNetwork::deliver(std::size_t src, std::size_t dst, WireImage wire) {
+  const std::size_t index = link_index(src, dst);
   std::lock_guard<std::mutex> lock(mutex_);
   // The sender is metered unconditionally: transmission happened even
   // if the fault layer then loses or mangles the image in flight.
   TrafficStats& link = link_stats_[index];
   link.messages_sent += 1;
-  link.bytes_sent += wire.size();
-  link.simulated_seconds += model_transfer_seconds(wire.size());
+  link.bytes_sent += wire->size();
+  link.simulated_seconds += model_transfer_seconds(wire->size());
   const FaultPlan& plan = config_.faults;
   if (!plan.enabled()) {
     enqueue(src, dst, std::move(wire), /*reorder=*/false);
@@ -128,41 +136,49 @@ void InMemoryNetwork::send(std::size_t src, std::size_t dst, const Envelope& env
     fault_stats_.duplicated += 1;
     duplicate = true;
   }
-  if (plan.corrupt_prob > 0.0 && !wire.empty() && rng.bernoulli(plan.corrupt_prob)) {
-    const std::size_t byte = static_cast<std::size_t>(rng.uniform_int(wire.size()));
-    wire[byte] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(8));
+  // Corruption and truncation damage a private copy: the sender's image
+  // may sit in other queues, and stays intact for its retransmits.
+  if (plan.corrupt_prob > 0.0 && !wire->empty() && rng.bernoulli(plan.corrupt_prob)) {
+    const std::size_t byte = static_cast<std::size_t>(rng.uniform_int(wire->size()));
+    auto damaged = std::make_shared<ByteBuffer>(*wire);
+    (*damaged)[byte] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(8));
+    wire = std::move(damaged);
     fault_stats_.corrupted += 1;
   }
-  if (plan.truncate_prob > 0.0 && !wire.empty() && rng.bernoulli(plan.truncate_prob)) {
-    wire.resize(static_cast<std::size_t>(rng.uniform_int(wire.size())));
+  if (plan.truncate_prob > 0.0 && !wire->empty() && rng.bernoulli(plan.truncate_prob)) {
+    const auto kept = static_cast<std::ptrdiff_t>(rng.uniform_int(wire->size()));
+    wire = std::make_shared<const ByteBuffer>(wire->begin(), wire->begin() + kept);
     fault_stats_.truncated += 1;
   }
   const bool reorder =
       plan.reorder_prob > 0.0 && rng.bernoulli(plan.reorder_prob);
-  ByteBuffer copy = duplicate ? wire : ByteBuffer{};
+  const WireImage copy = duplicate ? wire : nullptr;
   enqueue(src, dst, std::move(wire), reorder);
-  // The duplicate trails its original (corruption and all).
-  if (duplicate) enqueue(src, dst, std::move(copy), /*reorder=*/false);
+  // The duplicate trails its original (corruption and all): the same
+  // image, queued twice.
+  if (duplicate) enqueue(src, dst, copy, /*reorder=*/false);
 }
 
-std::optional<ByteBuffer> InMemoryNetwork::pop_wire(std::size_t dst, std::size_t src) {
+WireImage InMemoryNetwork::try_recv_image(std::size_t dst, std::size_t src) {
+  FEDCAV_REQUIRE(dst < config_.num_endpoints, "InMemoryNetwork::try_recv_image: bad endpoint");
+  std::lock_guard<std::mutex> lock(mutex_);
   auto& inbox = inboxes_[dst];
   for (auto it = inbox.begin(); it != inbox.end(); ++it) {
     if (it->src == src) {
-      ByteBuffer wire = std::move(it->wire);
+      WireImage wire = std::move(it->wire);
       inbox.erase(it);
       fault_stats_.delivered += 1;
       return wire;
     }
   }
-  return std::nullopt;
+  return nullptr;
 }
 
 std::optional<ByteBuffer> InMemoryNetwork::try_recv_wire(std::size_t dst,
                                                          std::size_t src) {
-  FEDCAV_REQUIRE(dst < config_.num_endpoints, "InMemoryNetwork::try_recv_wire: bad endpoint");
-  std::lock_guard<std::mutex> lock(mutex_);
-  return pop_wire(dst, src);
+  const WireImage wire = try_recv_image(dst, src);
+  if (wire == nullptr) return std::nullopt;
+  return *wire;
 }
 
 std::optional<ByteBuffer> InMemoryNetwork::try_recv_any_wire(std::size_t dst,
@@ -180,11 +196,11 @@ std::optional<ByteBuffer> InMemoryNetwork::try_recv_any_wire(std::size_t dst,
     if (best == inbox.end() || it->src < best->src) best = it;
   }
   if (best == inbox.end()) return std::nullopt;
-  ByteBuffer wire = std::move(best->wire);
+  const WireImage wire = std::move(best->wire);
   if (src_out != nullptr) *src_out = best->src;
   inbox.erase(best);
   fault_stats_.delivered += 1;
-  return wire;
+  return *wire;
 }
 
 void InMemoryNetwork::add_link_delay(std::size_t src, std::size_t dst, double seconds) {
@@ -248,8 +264,8 @@ void InMemoryNetwork::save_state(ByteBuffer& buf) const {
     write_u64(buf, inbox.size());
     for (const Queued& q : inbox) {
       write_u64(buf, q.src);
-      write_u64(buf, q.wire.size());
-      buf.insert(buf.end(), q.wire.begin(), q.wire.end());
+      write_u64(buf, q.wire->size());
+      buf.insert(buf.end(), q.wire->begin(), q.wire->end());
     }
   }
   // The accounting travels with the queues it describes. Without it a
@@ -297,8 +313,9 @@ void InMemoryNetwork::load_state(ByteReader& reader) {
       // must throw fedcav::Error, not size a buffer.
       FEDCAV_REQUIRE(bytes <= reader.remaining(),
                      "InMemoryNetwork::load_state: queued wire image longer than the snapshot");
-      q.wire.resize(bytes);
-      reader.read_bytes(q.wire);
+      ByteBuffer wire(bytes);
+      reader.read_bytes(wire);
+      q.wire = std::make_shared<const ByteBuffer>(std::move(wire));
       inbox.push_back(std::move(q));
     }
   }

@@ -15,8 +15,11 @@
 // bit, cut a suffix, add latency jitter, or black-hole traffic for
 // crashed endpoints (see src/comm/faults.hpp). Fault decisions come
 // from per-link RNG streams, so a chaos run is reproducible with any
-// thread-pool size. Receivers pop raw wire bytes with try_recv_wire()
-// and validate via Envelope::try_decode.
+// thread-pool size. Queued images are immutable and shared: send_image()
+// queues the caller's image on the link as is (a round's downlink is
+// one image however many links carry it), and a corrupt or truncate
+// fault acts on a private copy. Receivers pop the image itself with
+// try_recv_image() and validate it in place via Envelope::try_view.
 #pragma once
 
 #include <cstdint>
@@ -57,15 +60,21 @@ class InMemoryNetwork final : public Transport {
   /// is metered even when the fault layer then loses the message. Throws
   /// fedcav::Error unless exactly one end of the link is rank 0.
   void send(std::size_t src, std::size_t dst, const Envelope& env) override;
+  /// send(), queueing `image` itself instead of encoding `env` again.
+  /// Faults draw from the link's stream exactly as send() does.
+  void send_image(std::size_t src, std::size_t dst, const Envelope& env,
+                  const WireImage& image) override;
 
-  /// Pop the oldest message queued for `dst` from `src`, if any, as raw
-  /// wire bytes (possibly corrupted or truncated in flight).
+  /// Pop the oldest message queued for `dst` from `src`, if any, as the
+  /// queued image (possibly corrupted or truncated in flight), uncopied.
+  WireImage try_recv_image(std::size_t dst, std::size_t src) override;
+  /// try_recv_image, copied out into a buffer of the caller's own.
   std::optional<ByteBuffer> try_recv_wire(std::size_t dst, std::size_t src) override;
 
   /// Pop the oldest message queued for `dst` from the lowest-ranked
   /// source that has one (the Transport fairness contract — never the
   /// inbox's arrival interleaving); the source rank is written to
-  /// `src_out`.
+  /// `src_out`. Copies the image out, like try_recv_wire.
   std::optional<ByteBuffer> try_recv_any_wire(std::size_t dst,
                                               std::size_t* src_out) override;
 
@@ -111,17 +120,19 @@ class InMemoryNetwork final : public Transport {
  private:
   struct Queued {
     std::size_t src;
-    ByteBuffer wire;
+    WireImage wire;
   };
 
   /// Slot of the (src, dst) link in link_stats_ and link_rng_: the
   /// downlinks 0 → k in rank order, then the uplinks k → 0. Throws on an
   /// endpoint out of range or a link without rank 0 at exactly one end.
   std::size_t link_index(std::size_t src, std::size_t dst) const;
+  /// Meter `wire` on the (src, dst) link, apply the fault plan and queue
+  /// what survives. Takes the lock.
+  void deliver(std::size_t src, std::size_t dst, WireImage wire);
   /// Append `wire` to dst's inbox; with `reorder`, let it overtake the
   /// most recent queued same-link message instead. Caller holds mutex_.
-  void enqueue(std::size_t src, std::size_t dst, ByteBuffer wire, bool reorder);
-  std::optional<ByteBuffer> pop_wire(std::size_t dst, std::size_t src);
+  void enqueue(std::size_t src, std::size_t dst, WireImage wire, bool reorder);
 
   NetworkConfig config_;
   std::vector<std::deque<Queued>> inboxes_;  // per destination

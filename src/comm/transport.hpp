@@ -16,7 +16,7 @@
 //
 // Everything travels as opaque CRC-framed wire images (the encoded
 // comm::Envelope): the transport moves bytes and meters them, and only
-// Envelope::try_decode decides whether they arrived intact.
+// Envelope::try_view decides whether they arrived intact.
 //
 // Fairness contract for try_recv_any_wire: when several sources have
 // messages queued, the lowest source rank is drained first (per-source
@@ -28,6 +28,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 
 #include "src/comm/faults.hpp"
@@ -60,10 +61,32 @@ class Transport {
   /// closed, surfacing through peer_closed() instead of an exception.
   virtual void send(std::size_t src, std::size_t dst, const Envelope& env) = 0;
 
+  /// Deliver `env` from its pre-encoded image (`image` holds
+  /// env.encode()), so a message sent to many ranks is encoded once. The
+  /// in-memory fabric queues the shared image itself. The default sends
+  /// `env`: a backend or decorator that overrides only send() still
+  /// sees every message.
+  virtual void send_image(std::size_t src, std::size_t dst, const Envelope& env,
+                          const WireImage& image) {
+    (void)image;
+    send(src, dst, env);
+  }
+
   /// Pop the oldest undelivered wire image queued for `dst` from `src`,
   /// if any (possibly corrupted or truncated in flight). Non-blocking.
   virtual std::optional<ByteBuffer> try_recv_wire(std::size_t dst,
                                                   std::size_t src) = 0;
+
+  /// try_recv_wire as a shared image, null when nothing is queued. The
+  /// in-memory fabric hands out its queued image without copying it.
+  /// The default moves try_recv_wire's buffer into the image, so a
+  /// decorator that overrides only try_recv_wire still sees every
+  /// receive.
+  virtual WireImage try_recv_image(std::size_t dst, std::size_t src) {
+    std::optional<ByteBuffer> wire = try_recv_wire(dst, src);
+    if (!wire.has_value()) return nullptr;
+    return std::make_shared<const ByteBuffer>(std::move(*wire));
+  }
 
   /// Pop the oldest wire image queued for `dst` from the lowest source
   /// rank that has one (the fairness contract above); the source rank is

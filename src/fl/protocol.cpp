@@ -74,9 +74,20 @@ bool usable(double inference_loss, std::span<const float> weights = {}) {
   return std::isfinite(inference_loss) && inference_loss >= 0.0 && comm::all_finite(weights);
 }
 
+/// Send `env` from its pre-encoded `image` when there is one.
+void send(comm::Transport& transport, std::size_t src, std::size_t dst,
+          const comm::Envelope& env, const comm::WireImage& image) {
+  if (image != nullptr) {
+    transport.send_image(src, dst, env, image);
+  } else {
+    transport.send(src, dst, env);
+  }
+}
+
 /// Hand one CRC-clean envelope to `handle`: true once accepted. kStale,
 /// and a payload whose decode throws, count as stale_discards.
-bool offer(const comm::Envelope& env, ParticipantOutcome& counters, const Handler& handle) {
+bool offer(const comm::EnvelopeView& env, ParticipantOutcome& counters,
+           const Handler& handle) {
   Take take = Take::kStale;  // also a CRC-valid but malformed payload
   try {
     take = handle(env);
@@ -88,13 +99,14 @@ bool offer(const comm::Envelope& env, ParticipantOutcome& counters, const Handle
 }
 
 /// The drain helper: pop the wire images queued at `dst` from `src` until
-/// `handle` accepts one (true) or the link runs dry (false). A damaged
-/// image counts as a crc_failure and calls `on_damaged` (if set).
+/// `handle` accepts one (true) or the link runs dry (false). Each image is
+/// checked in place, uncopied; a damaged one counts as a crc_failure and
+/// calls `on_damaged` (if set).
 bool drain(comm::Transport& transport, std::size_t dst, std::size_t src,
            ParticipantOutcome& counters, const Handler& handle,
            const std::function<void()>& on_damaged = nullptr) {
-  while (std::optional<ByteBuffer> wire = transport.try_recv_wire(dst, src)) {
-    const std::optional<comm::Envelope> env = comm::Envelope::try_decode(*wire);
+  while (const comm::WireImage wire = transport.try_recv_image(dst, src)) {
+    const std::optional<comm::EnvelopeView> env = comm::Envelope::try_view(*wire);
     if (!env.has_value()) {
       counters.crc_failures += 1;  // corrupted or truncated in flight
       if (on_damaged) on_damaged();
@@ -125,7 +137,7 @@ bool await(comm::Transport& transport, std::size_t dst, std::size_t src,
 
 // ------------------------------------------------------------ client end
 
-Take ClientEndpoint::take_downlink(const comm::Envelope& env,
+Take ClientEndpoint::take_downlink(const comm::EnvelopeView& env,
                                    std::optional<Downlink>& out,
                                    std::size_t round) const {
   if (env.type != downlink_type(config_.quant)) return Take::kStale;
@@ -143,6 +155,21 @@ Take ClientEndpoint::take_downlink(const comm::Envelope& env,
     out = Downlink{msg.round, std::move(msg.weights)};
   }
   return Take::kAccept;
+}
+
+Take ClientEndpoint::check_downlink(const comm::EnvelopeView& env, std::size_t round,
+                                    std::size_t dim) const {
+  if (env.type != downlink_type(config_.quant)) return Take::kStale;
+  ByteReader reader(env.payload);
+  if (reader.read_u64() != round) return Take::kStale;
+  if (config_.quant != comm::QuantMode::kNone) {
+    // decode runs every structural check; only the dequantize is skipped.
+    return comm::QuantizedDelta::decode(reader).dim == dim ? Take::kAccept : Take::kStale;
+  }
+  // GlobalModelMsg: a u64 count, then exactly that many floats.
+  return reader.read_u64() == dim && reader.remaining() == dim * sizeof(float)
+             ? Take::kAccept
+             : Take::kStale;
 }
 
 comm::Envelope ClientEndpoint::metadata(std::size_t round, double inference_loss) const {
@@ -173,7 +200,7 @@ std::optional<Downlink> ClientEndpoint::next_downlink() {
   const auto resend = [&](const comm::Envelope& cached) {
     if (!cached.payload.empty()) transport_.send(rank_, kServerRank, cached);
   };
-  const Handler handle = [&](const comm::Envelope& env) {
+  const Handler handle = [&](const comm::EnvelopeView& env) {
     if (env.type == MessageType::kNack) {
       ByteReader reader(env.payload);
       const bool wants_metadata =
@@ -233,12 +260,15 @@ void ServerEndpoint::begin_round(std::size_t round, nn::Weights& global) {
     down.weights = global;
     downlink_ = comm::Envelope{MessageType::kGlobalModel, down.encode()};
   }
+  downlink_image_ = std::make_shared<const ByteBuffer>(downlink_.encode());
 }
 
 void ServerEndpoint::begin_phase(const std::vector<std::size_t>& clients) {
   phase_watch_.reset();
   if (!remote_) return;
-  for (const std::size_t client : clients) transport_->send(kServerRank, client + 1, downlink_);
+  for (const std::size_t client : clients) {
+    transport_->send_image(kServerRank, client + 1, downlink_, downlink_image_);
+  }
 }
 
 ParticipantOutcome ServerEndpoint::exchange_metadata(
@@ -248,7 +278,7 @@ ParticipantOutcome ServerEndpoint::exchange_metadata(
   span.arg("client", static_cast<double>(rank - 1));
   ParticipantOutcome out;
   std::optional<ClientUpdate> meta;
-  const Handler take = [&](const comm::Envelope& env) {
+  const Handler take = [&](const comm::EnvelopeView& env) {
     if (env.type != MessageType::kMetadataReport) return Take::kStale;
     ByteReader reader(env.payload);
     const comm::MetadataMsg msg = comm::MetadataMsg::decode(reader);
@@ -265,16 +295,17 @@ ParticipantOutcome ServerEndpoint::exchange_metadata(
     out.elapsed_s += transport_->model_transfer_seconds(downlink_.wire_size());
     if (!await_uplink(rank, MessageType::kMetadataReport, take, out)) return out;
   } else {
-    // The downlink copy is sent here, not at broadcast time, so the
-    // fabric holds O(workers) wire images of the model, not O(cohort).
+    // The downlink is sent here, not at broadcast time, so the fabric's
+    // queues reference the round's one image O(workers) times, not
+    // O(cohort). The client checks it in place and computes f_i from the
+    // reference it encodes: a dense payload is a copy of those floats,
+    // and a quantized one decodes to them (begin_round adopted them).
     ClientEndpoint peer(*transport_, rank, client, config_);
-    std::optional<Downlink> down;
-    const Handler take_down = [&](const comm::Envelope& env) {
-      return peer.take_downlink(env, down, round_);
+    const Handler take_down = [&](const comm::EnvelopeView& env) {
+      return peer.check_downlink(env, round_, reference_->size());
     };
-    if (!transfer(kServerRank, rank, downlink_, take_down, out)) return out;
-    const double f_i = loss(down->weights);
-    down.reset();  // phase ② trains from the bit-equal server reference
+    if (!transfer(kServerRank, rank, downlink_, take_down, out, downlink_image_)) return out;
+    const double f_i = loss(*reference_);
     if (!transfer(rank, kServerRank, peer.metadata(round_, f_i), take, out)) return out;
   }
   if (within_deadline(config_.uplink_deadline_s, out)) out.metadata = std::move(meta);
@@ -287,7 +318,7 @@ std::optional<ClientUpdate> ServerEndpoint::exchange_report(
   obs::Span span("participant", "client");
   span.arg("client", static_cast<double>(rank - 1));
   std::optional<ClientUpdate> report;
-  const Handler take = [&](const comm::Envelope& env) {
+  const Handler take = [&](const comm::EnvelopeView& env) {
     if (env.type != report_type(config_.quant)) return Take::kStale;
     ByteReader reader(env.payload);
     if (config_.quant != comm::QuantMode::kNone) {
@@ -328,9 +359,10 @@ std::optional<ClientUpdate> ServerEndpoint::exchange_report(
 }
 
 bool ServerEndpoint::transfer(std::size_t src, std::size_t dst, const comm::Envelope& env,
-                              const Handler& handle, ParticipantOutcome& out) const {
+                              const Handler& handle, ParticipantOutcome& out,
+                              const comm::WireImage& image) const {
   for (std::size_t attempt = 0;; ++attempt) {
-    transport_->send(src, dst, env);
+    send(*transport_, src, dst, env, image);
     out.elapsed_s += transport_->model_transfer_seconds(env.wire_size());
     if (drain(*transport_, dst, src, out, handle)) return true;
     if (attempt == config_.max_retries) return false;  // link exhausted
@@ -346,23 +378,25 @@ bool ServerEndpoint::transfer(std::size_t src, std::size_t dst, const comm::Enve
 
 bool ServerEndpoint::await_uplink(std::size_t rank, MessageType expected,
                                   const Handler& take, ParticipantOutcome& out) const {
-  const auto retransmit = [&](const comm::Envelope& env) {
+  const auto retransmit = [&](const comm::Envelope& env, const comm::WireImage& image) {
     if (out.retries >= config_.max_retries) return;
-    transport_->send(kServerRank, rank, env);
+    send(*transport_, kServerRank, rank, env, image);
     out.retries += 1;
   };
-  const Handler handle = [&](const comm::Envelope& env) {
+  const Handler handle = [&](const comm::EnvelopeView& env) {
     if (env.type == MessageType::kNack) {
-      retransmit(downlink_);  // the worker lost or rejected the downlink
+      // The worker lost or rejected the downlink.
+      retransmit(downlink_, downlink_image_);
       return Take::kAnswered;
     }
     // This round's report overtook a metadata frame that must be resent
-    // (the worker trains unprompted): keep it for phase ②. Every message
-    // encodes its round first.
+    // (the worker trains unprompted): keep a copy for phase ②. Every
+    // message encodes its round first.
     if (expected == MessageType::kMetadataReport &&
         env.type == report_type(config_.quant) &&
-        ByteReader(env.payload).read_u64() == round_ &&
-        early_reports_.try_emplace(rank, env).second) {
+        ByteReader(env.payload).read_u64() == round_ && !early_reports_.contains(rank)) {
+      early_reports_.emplace(
+          rank, comm::Envelope{env.type, ByteBuffer(env.payload.begin(), env.payload.end())});
       return Take::kAnswered;
     }
     const Take result = take(env);
@@ -372,9 +406,12 @@ bool ServerEndpoint::await_uplink(std::size_t rank, MessageType expected,
     return result;
   };
   const auto held = early_reports_.extract(rank);
-  if (!held.empty() && offer(held.mapped(), out, handle)) return true;
+  if (!held.empty() &&
+      offer(comm::EnvelopeView{held.mapped().type, held.mapped().payload}, out, handle)) {
+    return true;
+  }
   return await(*transport_, kServerRank, rank, out, handle,
-               [&] { retransmit(nack(round_, expected)); }, phase_watch_,
+               [&] { retransmit(nack(round_, expected), nullptr); }, phase_watch_,
                config_.remote_recv_timeout_s);
 }
 

@@ -6,9 +6,10 @@
 // server side over a real transport, and fedcav_worker the client side.
 //
 // Every receive goes through drain(), which pops a link's queued wire
-// images, counts CRC failures and stale discards, and hands each clean
-// envelope to the receiving endpoint's handler. How long to keep
-// draining is the waiting policy, chosen by set_transport's `remote`:
+// images, checks each in place (Envelope::try_view), counts CRC failures
+// and stale discards, and hands each clean envelope view to the
+// receiving endpoint's handler. How long to keep draining is the waiting
+// policy, chosen by set_transport's `remote`:
 //   * simulated — the caller plays both ends, so every message is one
 //     send → drain → NACK → retry_backoff_s·2^k backoff → retransmit
 //     loop, bounded by max_retries, with every transfer and backoff
@@ -40,9 +41,9 @@ inline constexpr std::size_t kServerRank = 0;
 
 /// What a receive handler made of one CRC-clean envelope: accepted it,
 /// discarded it as stale, or answered it (control traffic, or an early
-/// report held for phase ②).
+/// report held for phase ②). The view's payload lives only for the call.
 enum class Take { kAccept, kStale, kAnswered };
-using Handler = std::function<Take(const comm::Envelope&)>;
+using Handler = std::function<Take(const comm::EnvelopeView&)>;
 
 /// A decoded downlink: the round and its dense weights.
 struct Downlink {
@@ -62,8 +63,14 @@ class ClientEndpoint {
 
   /// Handler body: decode a downlink into `out`. Other message types, and
   /// a round other than `round` (0 accepts any), are stale.
-  Take take_downlink(const comm::Envelope& env, std::optional<Downlink>& out,
+  Take take_downlink(const comm::EnvelopeView& env, std::optional<Downlink>& out,
                      std::size_t round = 0) const;
+  /// Handler body for a client that already holds round `round`'s `dim`
+  /// weights (the in-process simulation): check the downlink in place,
+  /// without decoding the weights. Accepts this round's downlink type
+  /// whose payload frames exactly `dim` weights; the rest is stale.
+  Take check_downlink(const comm::EnvelopeView& env, std::size_t round,
+                      std::size_t dim) const;
   comm::Envelope metadata(std::size_t round, double inference_loss) const;
   /// Quantized codecs code `update` as a delta against `reference` with
   /// error feedback; the envelope is encoded once per participation, so
@@ -110,7 +117,8 @@ class ServerEndpoint {
   /// Start round `round` with `global` as its reference w_t. Quantized
   /// codecs replace `global` by the dequantized image of its code, so
   /// both endpoints train and diff against the same floats. The downlink
-  /// envelope is encoded here, once per round.
+  /// envelope and its wire image are encoded here, once per round; every
+  /// downlink send shares the image.
   void begin_round(std::size_t round, nn::Weights& global);
   /// Start a collect phase: restarts the remote wall-clock deadline and,
   /// remotely, broadcasts the downlink to `clients` (ranks = client
@@ -119,7 +127,9 @@ class ServerEndpoint {
 
   /// Phase ①: downlink, inference loss (`loss` of the given weights on
   /// the client's data, in-process only), metadata uplink. No metadata in
-  /// the outcome = dropout.
+  /// the outcome = dropout. In-process, `loss` gets the round's reference
+  /// itself: the intact downlink the client checked encodes exactly those
+  /// floats.
   ParticipantOutcome exchange_metadata(
       std::size_t rank, Client& client,
       const std::function<double(const nn::Weights&)>& loss) const;
@@ -131,9 +141,11 @@ class ServerEndpoint {
                                               ParticipantOutcome& counters) const;
 
  private:
-  /// Simulated policy: one message src → dst with NACK-and-retry.
+  /// Simulated policy: one message src → dst with NACK-and-retry, sent
+  /// from `image` (env's encoding) when one is given.
   bool transfer(std::size_t src, std::size_t dst, const comm::Envelope& env,
-                const Handler& handle, ParticipantOutcome& out) const;
+                const Handler& handle, ParticipantOutcome& out,
+                const comm::WireImage& image = nullptr) const;
   /// Remote policy: await `rank`'s uplink of type `expected`.
   bool await_uplink(std::size_t rank, comm::MessageType expected, const Handler& take,
                     ParticipantOutcome& out) const;
@@ -144,6 +156,7 @@ class ServerEndpoint {
   std::size_t round_ = 0;
   const nn::Weights* reference_ = nullptr;  // the round's w_t (server-owned)
   comm::Envelope downlink_{};
+  comm::WireImage downlink_image_;  // downlink_.encode(), shared by every send
   Stopwatch phase_watch_;
   /// Remote policy (which runs serially): per rank, a current-round
   /// report drained while phase ① still awaited the rank's metadata.

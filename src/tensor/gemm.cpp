@@ -21,6 +21,13 @@ std::vector<float>& b_panel_scratch() {
   return panel;
 }
 
+// gemm()'s packed op(A), reused the same way, so a steady-state train
+// step's GEMMs touch no heap.
+PackedA& a_scratch() {
+  thread_local PackedA packed;
+  return packed;
+}
+
 /// Contraction-axis block size. Panels are kc × kNr = 16 KB, so the B
 /// panel stays L1-resident while every A tile streams against it — the
 /// batch-fused conv GEMMs contract over k = batch·out_plane (thousands),
@@ -241,7 +248,8 @@ void gemm(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k,
           const float* a, std::size_t lda, const float* b, std::size_t ldb,
           float beta, float* c, std::size_t ldc) {
   if (m == 0 || n == 0) return;
-  const PackedA packed = pack_a(ta, m, k, a, lda);
+  PackedA& packed = a_scratch();
+  pack_a_into(ta, m, k, a, lda, packed);
   gemm_prepacked(packed, tb, n, b, ldb, beta, c, ldc);
 }
 

@@ -1,16 +1,22 @@
 // Allocation regression test: after one warm-up batch, a train step must
-// perform ZERO Tensor heap allocations. This is the enforcement side of
-// the workspace policy (DESIGN.md §8): every layer draws hot-path buffers
+// perform ZERO heap allocations. This is the enforcement side of the
+// workspace policy (DESIGN.md §8): every layer draws hot-path buffers
 // from persistent grow-only slots, the loss caches through capacity-
-// reusing assignment, and the optimizer updates in place.
+// reusing assignment, GEMM packs into per-thread scratch, and the
+// optimizer updates in place.
 //
-// Counting happens inside Tensor's single allocation choke point, gated
-// by the FEDCAV_ALLOC_STATS compile option (ON by default); under a build
-// with the option off the tests skip.
+// Two counters watch the measured steps. Tensor's single allocation
+// choke point counts tensor buffers, gated by the FEDCAV_ALLOC_STATS
+// compile option (ON by default; under a build with the option off the
+// tests skip). This binary's replacement global operator new counts
+// every other heap allocation (a std::vector's, say) while armed.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "src/fl/simulation.hpp"
@@ -19,6 +25,36 @@
 #include "src/tensor/tensor.hpp"
 #include "src/utils/rng.hpp"
 #include "src/utils/threadpool.hpp"
+
+namespace {
+
+// Scalar global operator new calls while armed, on any thread. The
+// default new[] forwards to it, and Tensor's aligned buffers have their
+// own counter. The whole scalar family is replaced, deletes included, so
+// a sanitizer runtime's own operator new never meets this free().
+std::atomic<bool> g_new_armed{false};
+std::atomic<std::uint64_t> g_new_calls{0};
+
+void* counted_malloc(std::size_t bytes) noexcept {
+  if (g_new_armed.load(std::memory_order_relaxed)) {
+    g_new_calls.fetch_add(1, std::memory_order_relaxed);
+  }
+  return std::malloc(bytes == 0 ? 1 : bytes);
+}
+
+}  // namespace
+
+void* operator new(std::size_t bytes) {
+  void* p = counted_malloc(bytes);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+void* operator new(std::size_t bytes, const std::nothrow_t&) noexcept {
+  return counted_malloc(bytes);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace fedcav {
 namespace {
@@ -42,14 +78,20 @@ void expect_steady_state_alloc_free(const char* builder_name, const Shape& input
   opt.step(*model);
 
   Tensor::reset_alloc_stats();
+  g_new_calls.store(0);
+  g_new_armed.store(true);
   for (int step = 0; step < 3; ++step) {
     model->forward_backward(input, labels);
     opt.step(*model);
   }
+  g_new_armed.store(false);
   const TensorAllocStats stats = Tensor::alloc_stats();
   EXPECT_EQ(stats.allocations, 0u)
       << builder_name << ": " << stats.allocations << " tensor allocations ("
       << stats.bytes << " bytes) in 3 steady-state train steps";
+  EXPECT_EQ(g_new_calls.load(), 0u)
+      << builder_name << ": " << g_new_calls.load()
+      << " heap allocations in 3 steady-state train steps";
 }
 
 TEST(AllocStats, LeNetTrainStepIsAllocationFreeAfterWarmup) {

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 #include <numeric>
 #include <span>
+#include <thread>
+#include <vector>
 
 #include "src/comm/compression.hpp"
 #include "src/comm/crc32.hpp"
@@ -268,6 +272,18 @@ std::optional<Envelope> decoded(const std::optional<ByteBuffer>& wire) {
   return Envelope::decode(*wire);
 }
 
+/// A model-sized downlink, as the server broadcasts it.
+Envelope model_envelope() {
+  GlobalModelMsg msg;
+  msg.round = 3;
+  msg.weights.assign(1000, 0.25f);
+  return Envelope{MessageType::kGlobalModel, msg.encode()};
+}
+
+WireImage image_of(const Envelope& env) {
+  return std::make_shared<const ByteBuffer>(env.encode());
+}
+
 TEST(Network, SendThenReceive) {
   InMemoryNetwork net(endpoint_config(3));
   net.send(0, 2, tiny_envelope());
@@ -409,6 +425,64 @@ TEST(Network, RequiresTwoEndpoints) {
   EXPECT_THROW(InMemoryNetwork(endpoint_config(1)), Error);
 }
 
+// One image broadcast to four clients is queued four times, never copied,
+// and metered per link like four sends.
+TEST(Network, SharedImageReachesEveryLinkUncopied) {
+  InMemoryNetwork net(endpoint_config(5));
+  const Envelope env = model_envelope();
+  const WireImage image = image_of(env);
+  for (std::size_t k = 1; k <= 4; ++k) net.send_image(0, k, env, image);
+  EXPECT_EQ(net.stats(0).messages_sent, 4u);
+  EXPECT_EQ(net.stats(0).bytes_sent, 4 * image->size());
+  for (std::size_t k = 1; k <= 4; ++k) {
+    EXPECT_EQ(net.try_recv_image(k, 0), image) << "link " << k;
+  }
+  // Checked in place: the view's payload points into the image.
+  const std::optional<EnvelopeView> view = Envelope::try_view(*image);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->type, MessageType::kGlobalModel);
+  EXPECT_EQ(view->payload.data(), image->data() + sizeof(std::uint64_t));
+  EXPECT_EQ(view->payload.size(), env.payload.size());
+  // The copying entry point hands out the same bytes send() would queue.
+  net.send_image(0, 2, env, image);
+  const std::optional<ByteBuffer> wire = net.try_recv_wire(2, 0);
+  ASSERT_TRUE(wire.has_value());
+  EXPECT_EQ(*wire, *image);
+  net.send(0, 3, env);
+  EXPECT_EQ(*net.try_recv_image(3, 0), *image);
+  EXPECT_EQ(net.pending_messages(), 0u);
+  EXPECT_EQ(image.use_count(), 1);  // no queue still holds it
+}
+
+// Pool threads send, check and release one shared image concurrently,
+// each on its own links (the in-process phase ①).
+TEST(Network, ConcurrentSharedImageTraffic) {
+  constexpr std::size_t kLinks = 4;
+  constexpr std::size_t kRounds = 200;
+  InMemoryNetwork net(endpoint_config(kLinks + 1));
+  const Envelope env = model_envelope();
+  const WireImage image = image_of(env);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (std::size_t k = 1; k <= kLinks; ++k) {
+    threads.emplace_back([&, k] {
+      for (std::size_t i = 0; i < kRounds; ++i) {
+        net.send_image(0, k, env, image);
+        const WireImage got = net.try_recv_image(k, 0);
+        if (got != image || !Envelope::try_view(*got).has_value()) failures += 1;
+        net.send(k, 0, tiny_envelope());
+        if (!net.try_recv_wire(0, k).has_value()) failures += 1;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(net.stats(0).messages_sent, kLinks * kRounds);
+  EXPECT_EQ(net.stats(0).bytes_sent, kLinks * kRounds * image->size());
+  EXPECT_EQ(net.pending_messages(), 0u);
+  EXPECT_EQ(image.use_count(), 1);
+}
+
 TEST(Network, PendingMessagesTracksQueue) {
   InMemoryNetwork net(endpoint_config(3));
   EXPECT_EQ(net.pending_messages(), 0u);
@@ -493,6 +567,45 @@ TEST(Faults, TruncatedDeliveryFailsCrc) {
   EXPECT_LT(wire->size(), tiny_envelope().wire_size());  // strict prefix
   EXPECT_FALSE(Envelope::try_decode(*wire).has_value());
   EXPECT_EQ(net.fault_stats().truncated, 1u);
+  expect_conservation(net);
+}
+
+// A fault that mutates a shared image damages the receiver's copy only:
+// the sender's image may be queued on other links, and its retransmits
+// must go out intact.
+TEST(Faults, CorruptOrTruncateDamagesAPrivateCopyOfASharedImage) {
+  for (const bool corrupt : {true, false}) {
+    FaultPlan plan;
+    (corrupt ? plan.corrupt_prob : plan.truncate_prob) = 1.0;
+    InMemoryNetwork net(faulty_config(plan));
+    const Envelope env = model_envelope();
+    const WireImage image = image_of(env);
+    const ByteBuffer original = *image;
+    net.send_image(0, 1, env, image);
+    const WireImage got = net.try_recv_image(1, 0);
+    ASSERT_NE(got, nullptr);
+    EXPECT_NE(got, image);
+    EXPECT_FALSE(Envelope::try_view(*got).has_value()) << "corrupt " << corrupt;
+    EXPECT_EQ(*image, original);
+    EXPECT_TRUE(Envelope::try_view(*image).has_value());
+    EXPECT_EQ(net.fault_stats().corrupted, corrupt ? 1u : 0u);
+    EXPECT_EQ(net.fault_stats().truncated, corrupt ? 0u : 1u);
+    expect_conservation(net);
+  }
+}
+
+TEST(Faults, DuplicateQueuesTheSameImageTwice) {
+  FaultPlan plan;
+  plan.duplicate_prob = 1.0;
+  InMemoryNetwork net(faulty_config(plan));
+  const Envelope env = model_envelope();
+  const WireImage image = image_of(env);
+  net.send_image(0, 1, env, image);
+  EXPECT_EQ(net.pending_messages(), 2u);
+  EXPECT_EQ(net.try_recv_image(1, 0), image);
+  EXPECT_EQ(net.try_recv_image(1, 0), image);
+  EXPECT_EQ(net.try_recv_image(1, 0), nullptr);
+  EXPECT_EQ(net.fault_stats().duplicated, 1u);
   expect_conservation(net);
 }
 

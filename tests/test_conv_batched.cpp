@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <ostream>
 #include <vector>
 
 #include "src/nn/conv2d.hpp"
@@ -25,6 +26,13 @@ using nn::Conv2D;
 struct ConvCase {
   std::size_t batch, in_c, out_c, h, w, kernel, stride, pad;
 };
+
+// Without this gtest prints the case as a byte dump, and ctest names the
+// test after that print (e.g. batch4_2to3ch_8x8_k3_s1_p1).
+void PrintTo(const ConvCase& g, std::ostream* os) {
+  *os << "batch" << g.batch << '_' << g.in_c << "to" << g.out_c << "ch_" << g.h << 'x' << g.w
+      << "_k" << g.kernel << "_s" << g.stride << "_p" << g.pad;
+}
 
 // Direct convolution, float64 accumulation: the trusted reference.
 Tensor naive_conv(const Tensor& input, const Tensor& weight, const Tensor& bias,

@@ -384,5 +384,41 @@ TEST(ServerProtocol, DenseReportWithNonFiniteWeightIsAStaleDiscard) {
   EXPECT_TRUE(every_weight_finite(global));
 }
 
+// In-process, the simulated client checks the downlink in place instead
+// of decoding it. A CRC-valid downlink of another round, of the other
+// codec's type or of another length is still a stale discard, and the
+// round's own downlink queued behind them is accepted.
+TEST(ServerProtocol, InProcessDownlinkOfTheWrongRoundTypeOrLengthIsAStaleDiscard) {
+  set_log_level(LogLevel::kError);
+  for (const comm::QuantMode quant : {comm::QuantMode::kNone, comm::QuantMode::kInt8}) {
+    fl::SimulationConfig config = protocol_config();
+    config.server.quant = quant;
+    fl::Simulation sim = fl::build_simulation(config);
+    const std::size_t dim = sim.server->global_weights().size();
+    const auto downlink = [](std::uint64_t round, std::size_t n, bool quantized) {
+      const std::vector<float> weights(n, 0.1f);
+      if (quantized) {
+        comm::QuantGlobalModelMsg msg;
+        msg.round = round;
+        msg.model = comm::quantize(weights, comm::QuantMode::kInt8);
+        return comm::Envelope{comm::MessageType::kQuantGlobalModel, msg.encode()};
+      }
+      comm::GlobalModelMsg msg;
+      msg.round = round;
+      msg.weights = weights;
+      return comm::Envelope{comm::MessageType::kGlobalModel, msg.encode()};
+    };
+    const bool quantized = quant != comm::QuantMode::kNone;
+    comm::InMemoryNetwork& net = *sim.server->network();
+    net.send(fl::kServerRank, 1, downlink(2, dim, quantized));       // another round
+    net.send(fl::kServerRank, 1, downlink(1, dim, !quantized));      // another type
+    net.send(fl::kServerRank, 1, downlink(1, dim + 1, quantized));   // another length
+    const metrics::RoundRecord rec = sim.server->run_round();
+    EXPECT_EQ(rec.stale_discards, 3u) << comm::to_string(quant);
+    EXPECT_EQ(rec.participants, kClients) << comm::to_string(quant);
+    EXPECT_EQ(net.pending_messages(), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace fedcav
