@@ -15,7 +15,9 @@
 # trains lenet5 clients on the multi-worker global pool, and
 # RoundEngineServer.*AcrossPoolSizes (selected by "Server") repeats
 # rounds at several pool sizes. Each configuration gets its own build
-# tree so they never thrash one cache.
+# tree so they never thrash one cache. The plain stage also compares the
+# fedbench and cohort_scale smoke digests with the pins in
+# scripts/check_digests.py.
 #
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
@@ -81,6 +83,12 @@ for workload in federation_tcp cohort_mlp_1k cohort_mlp_1k_int8; do
   timeout 600 python3 "${repo}/fedbench/run.py" --workload "${workload}" \
     --seed 1 --seconds 1 --trace 0
 done
+# Pinned results: those three runs' digests and bytes per round, and the
+# cohort_scale smoke's row digests, must equal the values committed in
+# scripts/check_digests.py, so a change meant to be byte-identical is
+# checked on every run instead of by hand.
+echo "==> pinned digests (plain)"
+python3 "${repo}/scripts/check_digests.py"
 
 run_config "${repo}/build-sanitize" "" -DFEDCAV_SANITIZE=ON
 echo "==> cohort_scale smoke (sanitize)"

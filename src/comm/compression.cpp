@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "src/utils/error.hpp"
 
@@ -16,12 +17,39 @@ namespace {
 /// orders exactly like the magnitude, and ±0 share key 0.
 std::uint32_t magnitude_key(float v) { return std::bit_cast<std::uint32_t>(v) & 0x7fffffffu; }
 
+/// Bit j of the result is byte j of `flags` (each 0 or 1). The multiply
+/// moves byte j's bit to bit 56 + j of the product, and no two partial
+/// products meet below it, so nothing carries into the top byte.
+std::uint64_t pack_flags(const std::uint8_t (&flags)[64]) {
+  std::uint64_t bits = 0;
+  for (int b = 0; b < 8; ++b) {
+    std::uint64_t word = 0;
+    for (int i = 0; i < 8; ++i) word |= std::uint64_t{flags[8 * b + i]} << (8 * i);
+    bits |= ((word * 0x0102040810204080ull) >> 56) << (8 * b);
+  }
+  return bits;
+}
+
+/// Calls f(word, base, n) for each run of 64 coordinates base..base+63,
+/// n of them in range. `word` points at 64 values; the last run's
+/// missing ones read as +0.
+template <typename F>
+void for_each_word(std::span<const float> dense, F&& f) {
+  const std::size_t full = dense.size() / 64 * 64;
+  for (std::size_t base = 0; base < full; base += 64) f(dense.data() + base, base, std::size_t{64});
+  if (full < dense.size()) {
+    float tail[64] = {};
+    std::memcpy(tail, dense.data() + full, (dense.size() - full) * sizeof(float));
+    f(static_cast<const float*>(tail), full, dense.size() - full);
+  }
+}
+
 /// Where the k largest-|v| coordinates end: every coordinate whose key
-/// exceeds `key` is kept, plus the first `ties` (lowest-index)
-/// coordinates whose key equals it.
+/// exceeds `key` is kept, plus those whose key equals it below index
+/// `tie_end` (the lowest-index ties).
 struct TopKCut {
   std::uint32_t key = 0;
-  std::size_t ties = 0;
+  std::size_t tie_end = 0;
 };
 
 /// Exact radix select of the k-th largest key (1 <= k <= dense.size()),
@@ -40,22 +68,152 @@ TopKCut topk_cut(std::span<const float> dense, std::size_t k) {
   };
   for (const float v : dense) ++hist[magnitude_key(v) >> 20];
   std::uint32_t key = pick(2047) << 20;
-  std::vector<std::uint32_t> candidates;
+  // The threshold bucket's candidates, in coordinate order: a word's
+  // bucket bits come from branch-free compares, and only its set bits
+  // are visited.
+  std::vector<std::size_t> candidates;
   candidates.reserve(hist[key >> 20]);
-  for (const float v : dense) {
-    if ((magnitude_key(v) >> 20) == (key >> 20)) candidates.push_back(magnitude_key(v));
-  }
+  for_each_word(dense, [&](const float* word, std::size_t base, std::size_t n) {
+    std::uint8_t flags[64];
+    for (std::size_t j = 0; j < 64; ++j) flags[j] = (magnitude_key(word[j]) >> 20) == (key >> 20);
+    // The last word's +0 padding may share the bucket; only n are real.
+    std::uint64_t bits = pack_flags(flags);
+    if (n < 64) bits &= (std::uint64_t{1} << n) - 1;
+    for (; bits != 0; bits &= bits - 1) {
+      candidates.push_back(base + static_cast<std::size_t>(std::countr_zero(bits)));
+    }
+  });
   int above = 20;
   for (const int shift : {9, 0}) {
     const std::uint32_t digits = (1u << (above - shift)) - 1u;
-    hist.fill(0);
-    for (const std::uint32_t c : candidates) {
+    std::fill_n(hist.begin(), digits + 1, 0u);
+    for (const std::size_t idx : candidates) {
+      const std::uint32_t c = magnitude_key(dense[idx]);
       if ((c >> above) == (key >> above)) ++hist[(c >> shift) & digits];
     }
     key |= pick(digits) << shift;
     above = shift;
   }
-  return {key, need};
+  // `need` >= 1 ties remain to keep, lowest index first.
+  std::size_t tie_end = 0;
+  for (const std::size_t idx : candidates) {
+    if (magnitude_key(dense[idx]) != key) continue;
+    tie_end = idx + 1;
+    if (--need == 0) break;
+  }
+  return {key, tie_end};
+}
+
+/// The cut's keep bits for the 64 coordinates `base`..`base+63`, whose
+/// values are `v`. Branch-free, so the compiler vectorizes the compares.
+std::uint64_t keep_bits(const float* v, std::size_t base, const TopKCut& cut) {
+  std::uint8_t flags[64];
+  // Coordinates past the word's tie room are never kept on a tie.
+  const std::size_t tie_room = cut.tie_end > base ? std::min<std::size_t>(cut.tie_end - base, 64) : 0;
+  for (std::size_t j = 0; j < 64; ++j) {
+    const std::uint32_t key = magnitude_key(v[j]);
+    flags[j] = static_cast<std::uint8_t>((key > cut.key) | ((key == cut.key) & (j < tie_room)));
+  }
+  return pack_flags(flags);
+}
+
+std::uint64_t load_le64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  return v;
+}
+
+/// Sixteen float lanes: one AVX-512 register, or split by the compiler.
+typedef float F32x16 __attribute__((vector_size(16 * sizeof(float))));
+
+/// The min and max of values[0, n), equal bit for bit to a sequential
+/// std::min/std::max scan. Sixteen independent lanes reduce most of the
+/// block; for finite values that can change only which of +0 and -0 a
+/// result keeps, so a result that compares equal to 0 is rescanned in
+/// order. n >= 1.
+std::pair<float, float> block_range(const float* values, std::size_t n) {
+  float mn = values[0];
+  float mx = values[0];
+  std::size_t i = 1;
+  if (n >= 32) {
+    F32x16 lo;
+    std::memcpy(&lo, values, sizeof(lo));
+    F32x16 hi = lo;
+    for (i = 16; i + 16 <= n; i += 16) {
+      F32x16 v;
+      std::memcpy(&v, values + i, sizeof(v));
+      lo = v < lo ? v : lo;
+      hi = hi < v ? v : hi;
+    }
+    for (int l = 0; l < 16; ++l) {
+      mn = std::min(mn, lo[l]);
+      mx = std::max(mx, hi[l]);
+    }
+  }
+  for (; i < n; ++i) {
+    mn = std::min(mn, values[i]);
+    mx = std::max(mx, values[i]);
+  }
+  if (mn == 0.0f || mx == 0.0f) {
+    mn = mx = values[0];
+    for (i = 1; i < n; ++i) {
+      mn = std::min(mn, values[i]);
+      mx = std::max(mx, values[i]);
+    }
+  }
+  return {mn, mx};
+}
+
+/// Validates q's sizes against its mask, then calls visit(coordinate,
+/// value) for every kept coordinate in ascending order, with the value
+/// dequantize writes there. The presence bitmap is read one
+/// little-endian 64-bit word at a time. A set bit at or past dim throws
+/// before anything is visited.
+template <typename Visit>
+void for_each_kept(const QuantizedDelta& q, Visit&& visit) {
+  FEDCAV_REQUIRE(q.mask.empty() || (q.dim > 0 && q.mask.size() == (q.dim - 1) / 8 + 1),
+                 "dequantize: mask size mismatch");
+  if (!q.mask.empty() && q.dim % 8 != 0) {
+    FEDCAV_REQUIRE((q.mask.back() >> (q.dim % 8)) == 0, "dequantize: mask bits past dim");
+  }
+  const std::size_t kept = q.count();
+  const std::uint8_t* data = q.data.data();
+  const float* scales = q.scales.data();
+  const float* zeros = q.zero_points.data();
+  const bool fp16 = q.mode == QuantMode::kFp16;
+  if (fp16) {
+    FEDCAV_REQUIRE(q.data.size() / 2 == kept && q.data.size() % 2 == 0,
+                   "dequantize: fp16 payload size mismatch");
+  } else {
+    const std::size_t blocks = (kept + kQuantBlock - 1) / kQuantBlock;
+    FEDCAV_REQUIRE(q.data.size() == kept && q.scales.size() == blocks &&
+                       q.zero_points.size() == blocks,
+                   "dequantize: int8 payload size mismatch");
+  }
+  const auto value = [&](std::size_t i) -> float {
+    if (fp16) return f16_to_f32(static_cast<std::uint16_t>(data[2 * i] | (data[2 * i + 1] << 8)));
+    const std::size_t blk = i / kQuantBlock;
+    return zeros[blk] + scales[blk] * static_cast<float>(data[i]);
+  };
+  if (q.mask.empty()) {
+    for (std::size_t i = 0; i < kept; ++i) visit(i, value(i));
+    return;
+  }
+  const std::uint8_t* mask = q.mask.data();
+  const std::size_t bytes = q.mask.size();
+  std::size_t next = 0;
+  for (std::size_t at = 0; at < bytes; at += 8) {
+    std::uint64_t bits = 0;
+    if (at + 8 <= bytes) {
+      bits = load_le64(mask + at);
+    } else {
+      for (std::size_t b = at; b < bytes; ++b) bits |= std::uint64_t{mask[b]} << (8 * (b - at));
+    }
+    for (; bits != 0; bits &= bits - 1) {
+      visit(8 * at + static_cast<std::size_t>(std::countr_zero(bits)), value(next++));
+    }
+  }
+  FEDCAV_REQUIRE(next == kept, "dequantize: mask/payload mismatch");
 }
 
 }  // namespace
@@ -252,19 +410,21 @@ QuantizedDelta quantize(std::span<const float> dense, QuantMode mode,
     const std::size_t k = std::max<std::size_t>(
         1, static_cast<std::size_t>(
                std::ceil(keep_ratio * static_cast<double>(dense.size()))));
-    // One ascending pass keeps every key above the cut and the
-    // lowest-index ties, so the kept values come out in coordinate order.
+    // One ascending pass, 64 coordinates per mask word: the word's keep
+    // bits, then its kept values in bit order, so they come out in
+    // coordinate order and nothing is sorted.
     const TopKCut cut = topk_cut(dense, k);
-    std::size_t ties = cut.ties;
     out.mask.assign((dense.size() + 7) / 8, 0);
-    kept_values.reserve(k);
-    for (std::size_t idx = 0; idx < dense.size(); ++idx) {
-      const std::uint32_t key = magnitude_key(dense[idx]);
-      if (key < cut.key || (key == cut.key && ties == 0)) continue;
-      if (key == cut.key) --ties;
-      out.mask[idx / 8] |= static_cast<std::uint8_t>(1u << (idx % 8));
-      kept_values.push_back(dense[idx]);
-    }
+    kept_values.resize(k);
+    float* kept_out = kept_values.data();
+    // +0 padding past dim is never above the cut and lies past tie_end.
+    for_each_word(dense, [&](const float* word, std::size_t base, std::size_t n) {
+      std::uint64_t bits = keep_bits(word, base, cut);
+      for (std::size_t b = 0; b < (n + 7) / 8; ++b) {
+        out.mask[base / 8 + b] = static_cast<std::uint8_t>(bits >> (8 * b));
+      }
+      for (; bits != 0; bits &= bits - 1) *kept_out++ = word[std::countr_zero(bits)];
+    });
     values = kept_values.data();
     kept = k;
   }
@@ -286,28 +446,25 @@ QuantizedDelta quantize(std::span<const float> dense, QuantMode mode,
   out.scales.resize(blocks);
   out.zero_points.resize(blocks);
   out.data.resize(kept);
+  std::uint8_t* codes = out.data.data();
   for (std::size_t blk = 0; blk < blocks; ++blk) {
     const std::size_t lo = blk * kQuantBlock;
     const std::size_t hi = std::min(kept, lo + kQuantBlock);
-    float mn = values[lo];
-    float mx = values[lo];
-    for (std::size_t i = lo + 1; i < hi; ++i) {
-      mn = std::min(mn, values[i]);
-      mx = std::max(mx, values[i]);
-    }
+    const auto [mn, mx] = block_range(values + lo, hi - lo);
     const float scale = (mx - mn) / 255.0f;
     FEDCAV_REQUIRE(std::isfinite(scale), "quantize: int8 block range overflows");
     out.scales[blk] = scale;
     out.zero_points[blk] = mn;
     if (scale <= 0.0f) {
-      for (std::size_t i = lo; i < hi; ++i) out.data[i] = 0;
+      std::fill(codes + lo, codes + hi, std::uint8_t{0});
       continue;
     }
+    // A subnormal scale makes inv infinite, and the block minimum's
+    // 0·inf a NaN: max(0, q) takes it to code 0, the minimum itself.
     const float inv = 1.0f / scale;
     for (std::size_t i = lo; i < hi; ++i) {
       const float q = std::nearbyint((values[i] - mn) * inv);
-      out.data[i] = static_cast<std::uint8_t>(
-          std::clamp(q, 0.0f, 255.0f));
+      codes[i] = static_cast<std::uint8_t>(std::min(std::max(0.0f, q), 255.0f));
     }
   }
   return out;
@@ -315,29 +472,21 @@ QuantizedDelta quantize(std::span<const float> dense, QuantMode mode,
 
 void dequantize_add(std::span<float> y, const QuantizedDelta& q) {
   FEDCAV_REQUIRE(y.size() == q.dim, "dequantize_add: dimension mismatch");
-  const std::size_t kept = q.count();
-  // Decode the kept values in order, then scatter (dense: straight add).
-  auto value_at = [&](std::size_t i) -> float {
-    if (q.mode == QuantMode::kFp16) {
-      const std::uint16_t h = static_cast<std::uint16_t>(
-          q.data[2 * i] | (static_cast<std::uint16_t>(q.data[2 * i + 1]) << 8));
-      return f16_to_f32(h);
-    }
-    const std::size_t blk = i / kQuantBlock;
-    return q.zero_points[blk] + q.scales[blk] * static_cast<float>(q.data[i]);
-  };
-  if (q.mask.empty()) {
-    for (std::size_t i = 0; i < kept; ++i) y[i] += value_at(i);
-    return;
-  }
-  std::size_t next = 0;
-  for (std::size_t idx = 0; idx < q.dim; ++idx) {
-    if ((q.mask[idx / 8] >> (idx % 8)) & 1u) {
-      y[idx] += value_at(next);
-      ++next;
-    }
-  }
-  FEDCAV_REQUIRE(next == kept, "dequantize_add: mask/payload mismatch");
+  float* out = y.data();
+  for_each_kept(q, [out](std::size_t idx, float v) { out[idx] += v; });
+}
+
+void dequantize_residual(std::span<const float> x, const QuantizedDelta& q,
+                         std::span<float> residual) {
+  FEDCAV_REQUIRE(x.size() == q.dim && residual.size() == q.dim,
+                 "dequantize_residual: dimension mismatch");
+  // dequantize writes +0 at a dropped coordinate, and x − (+0) is x for
+  // every finite x, −0 included. At a kept one it writes 0 + v, which is
+  // +0 for a kept −0, so the subtraction keeps that form.
+  std::copy(x.begin(), x.end(), residual.begin());
+  const float* in = x.data();
+  float* out = residual.data();
+  for_each_kept(q, [in, out](std::size_t idx, float v) { out[idx] = in[idx] - (0.0f + v); });
 }
 
 std::vector<float> dequantize(const QuantizedDelta& q) {

@@ -65,11 +65,21 @@ struct QuantizedDelta {
 QuantizedDelta quantize(std::span<const float> dense, QuantMode mode,
                         double keep_ratio = 1.0);
 
-/// y += scatter(dequantized values); y.size() must equal q.dim.
+/// y += scatter(dequantized values); y.size() must equal q.dim. Throws
+/// before writing y when the mask or payload sizes disagree with q.dim
+/// and the mask's popcount, or a mask bit at or past dim is set.
 void dequantize_add(std::span<float> y, const QuantizedDelta& q);
 
 /// Dense reconstruction (zeros at dropped coordinates).
 std::vector<float> dequantize(const QuantizedDelta& q);
+
+/// residual = x − dequantize(q), bit for bit, without the dense
+/// reconstruction: x is copied, then only the kept coordinates are
+/// corrected. This is the uplink's error-feedback step, with x the
+/// vector q was coded from. Sizes must all equal q.dim; a malformed q
+/// throws as in dequantize_add.
+void dequantize_residual(std::span<const float> x, const QuantizedDelta& q,
+                         std::span<float> residual);
 
 /// Portable IEEE 754 binary16 conversions (round-to-nearest-even;
 /// overflow saturates to ±inf). Exposed for the property tests.

@@ -116,17 +116,18 @@ comm::QuantizedDelta Client::encode_quantized_update(const nn::Weights& trained,
   if (quant_residual_.size() != trained.size()) {
     quant_residual_.assign(trained.size(), 0.0f);
   }
-  std::vector<float> delta(trained.size());
+  // The delta goes to per-thread scratch, reused across calls: a client
+  // is encoded on one thread at a time, and a throwing quantize (a
+  // non-finite delta) must leave the residual as it was.
+  thread_local std::vector<float> delta;
+  delta.resize(trained.size());
   for (std::size_t i = 0; i < delta.size(); ++i) {
     delta[i] = trained[i] - reference[i] + quant_residual_[i];
   }
   comm::QuantizedDelta coded = comm::quantize(delta, mode, keep_ratio);
   // residual ← delta − decode(coded): the quantization error on kept
   // coordinates plus the untouched value on dropped ones.
-  const std::vector<float> decoded = comm::dequantize(coded);
-  for (std::size_t i = 0; i < delta.size(); ++i) {
-    quant_residual_[i] = delta[i] - decoded[i];
-  }
+  comm::dequantize_residual(delta, coded, quant_residual_);
   if (obs::enabled()) {
     static obs::Histogram& norm_hist =
         obs::registry().histogram("quant.residual_norm");

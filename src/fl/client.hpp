@@ -76,6 +76,8 @@ class Client {
   /// residual. The residual updates at encode time — if the report is
   /// later lost in flight, that round's delta is gone (matching the
   /// dense protocol, where a lost report also folds as carried mass).
+  /// If the codec throws (a non-finite delta), the residual keeps its
+  /// pending value.
   comm::QuantizedDelta encode_quantized_update(const nn::Weights& trained,
                                                const nn::Weights& reference,
                                                comm::QuantMode mode,

@@ -9,7 +9,8 @@
 // choke point counts tensor buffers, gated by the FEDCAV_ALLOC_STATS
 // compile option (ON by default; under a build with the option off the
 // tests skip). This binary's replacement global operator new counts
-// every other heap allocation (a std::vector's, say) while armed.
+// every other heap allocation (a std::vector's, say) and its bytes
+// while armed.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +20,9 @@
 #include <new>
 #include <vector>
 
+#include "src/comm/compression.hpp"
+#include "src/data/synthetic.hpp"
+#include "src/fl/client.hpp"
 #include "src/fl/simulation.hpp"
 #include "src/nn/optimizer.hpp"
 #include "src/nn/zoo.hpp"
@@ -34,10 +38,12 @@ namespace {
 // a sanitizer runtime's own operator new never meets this free().
 std::atomic<bool> g_new_armed{false};
 std::atomic<std::uint64_t> g_new_calls{0};
+std::atomic<std::uint64_t> g_new_bytes{0};
 
 void* counted_malloc(std::size_t bytes) noexcept {
   if (g_new_armed.load(std::memory_order_relaxed)) {
     g_new_calls.fetch_add(1, std::memory_order_relaxed);
+    g_new_bytes.fetch_add(bytes, std::memory_order_relaxed);
   }
   return std::malloc(bytes == 0 ? 1 : bytes);
 }
@@ -116,6 +122,35 @@ TEST(AllocStats, MlpTrainStepIsAllocationFreeAfterWarmup) {
   if (!Tensor::alloc_stats_enabled()) GTEST_SKIP() << "built without FEDCAV_ALLOC_STATS";
   expect_steady_state_alloc_free("mlp",
                                  Shape::of(10, nn::kGraySide * nn::kGraySide));
+}
+
+// A steady-state int8 top-k(0.25) report allocates the code it returns
+// and the codec's kept-value and candidate lists, all well under one
+// dense vector: the delta lives in reused scratch, and the residual is
+// corrected in place without a dense decode.
+TEST(AllocStats, QuantizedEncodeAllocatesLessThanOneDenseVector) {
+  Rng rng(0x51);
+  const data::SynthGenerator gen(data::synth_config_by_name("digits", 3));
+  fl::Client client(0, gen.generate_balanced(2, rng), Rng(4));
+  constexpr std::size_t kDim = 6634;  // the mlp's parameter count
+  const auto draw = [&] {
+    nn::Weights w(kDim);
+    for (float& v : w) v = static_cast<float>(rng.normal(0.0, 0.01));
+    return w;
+  };
+  const nn::Weights reference = draw();
+  (void)client.encode_quantized_update(draw(), reference, comm::QuantMode::kInt8, 0.25);
+  const nn::Weights trained = draw();
+
+  g_new_calls.store(0);
+  g_new_bytes.store(0);
+  g_new_armed.store(true);
+  const comm::QuantizedDelta code =
+      client.encode_quantized_update(trained, reference, comm::QuantMode::kInt8, 0.25);
+  g_new_armed.store(false);
+  EXPECT_EQ(code.count(), (kDim + 3) / 4);
+  EXPECT_LT(g_new_bytes.load(), 4 * kDim)
+      << g_new_calls.load() << " heap allocations in one steady-state encode";
 }
 
 // The counter itself: constructing a Tensor allocates once, capacity

@@ -2,9 +2,13 @@
 // round loop, centralized baseline, and the simulation builder.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
 
+#include "src/comm/compression.hpp"
 #include "src/fl/centralized.hpp"
 #include "src/fl/client.hpp"
 #include "src/fl/fedavg.hpp"
@@ -12,6 +16,7 @@
 #include "src/data/stats.hpp"
 #include "src/fl/simulation.hpp"
 #include "src/metrics/evaluation.hpp"
+#include "src/tensor/serialize.hpp"
 #include "src/utils/error.hpp"
 
 namespace fedcav::fl {
@@ -333,6 +338,115 @@ TEST(Client, SetLocalDataSwapsShard) {
   client.set_local_data(bigger);
   EXPECT_EQ(client.num_samples(), bigger.size());
   EXPECT_THROW(client.set_local_data(data::Dataset(corpus.sample_shape(), 10)), Error);
+}
+
+// The client's pending error-feedback residual, read back through the
+// checkpoint layout (anchor, importance, residual).
+std::vector<float> saved_residual(const Client& client) {
+  ByteBuffer buf;
+  client.save_state(buf);
+  ByteReader reader(buf);
+  (void)reader.read_f32_vector();
+  (void)reader.read_f32_vector();
+  return reader.read_f32_vector();
+}
+
+// Loads `residual` as the client's pending error-feedback state.
+void load_residual(Client& client, const std::vector<float>& residual) {
+  ByteBuffer buf;
+  write_f32_span(buf, std::vector<float>{});
+  write_f32_span(buf, std::vector<float>{});
+  write_f32_span(buf, residual);
+  ByteReader reader(buf);
+  client.load_state(reader, residual.size());
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(Client, QuantizedResidualIsDeltaMinusDecodedCodeBitForBit) {
+  // Three blocks at keep 1. Every fifth coordinate trains to −0 from a
+  // +0 reference with a −0 pending residual, so its delta is −0: a kept
+  // −0 decodes through dequantize's 0 + v, and the residual must keep
+  // exactly that form.
+  constexpr std::size_t kDim = 700;
+  const data::Dataset corpus = small_corpus();
+  const struct {
+    comm::QuantMode mode;
+    double keep;
+  } configs[] = {{comm::QuantMode::kFp16, 1.0},
+                 {comm::QuantMode::kFp16, 0.25},
+                 {comm::QuantMode::kInt8, 1.0},
+                 {comm::QuantMode::kInt8, 0.25}};
+  for (const auto& c : configs) {
+    SCOPED_TRACE(comm::to_string(c.mode) + " keep " + std::to_string(c.keep));
+    Client client(0, corpus, Rng(1));
+    std::vector<float> residual(kDim);
+    for (std::size_t i = 0; i < kDim; ++i) residual[i] = i % 5 == 0 ? -0.0f : 0.001f * static_cast<float>(i % 7);
+    load_residual(client, residual);
+    Rng rng(3);
+    for (int round = 0; round < 3; ++round) {
+      nn::Weights trained(kDim);
+      nn::Weights reference(kDim);
+      for (std::size_t i = 0; i < kDim; ++i) {
+        trained[i] = i % 5 == 0 ? -0.0f : rng.uniform_f(-0.1f, 0.1f);
+        reference[i] = i % 5 == 0 ? 0.0f : rng.uniform_f(-0.1f, 0.1f);
+      }
+      std::vector<float> delta(kDim);
+      for (std::size_t i = 0; i < kDim; ++i) delta[i] = trained[i] - reference[i] + residual[i];
+      const comm::QuantizedDelta code =
+          client.encode_quantized_update(trained, reference, c.mode, c.keep);
+      EXPECT_EQ(code.encode(), comm::quantize(delta, c.mode, c.keep).encode());
+      const std::vector<float> decoded = comm::dequantize(code);
+      for (std::size_t i = 0; i < kDim; ++i) residual[i] = delta[i] - decoded[i];
+      EXPECT_TRUE(same_bits(saved_residual(client), residual)) << "round " << round;
+    }
+    if (c.mode == comm::QuantMode::kFp16 && c.keep == 1.0) {
+      // fp16 codes the kept −0 as −0, and −0 − (0 + −0) is −0 where
+      // −0 − −0 would be +0.
+      EXPECT_TRUE(std::signbit(residual[0]));
+    }
+  }
+}
+
+TEST(Client, OverflowingDeltaThrowsAndLeavesResidualAndNextCodeUnchanged) {
+  constexpr std::size_t kDim = 300;
+  const data::Dataset corpus = small_corpus();
+  Client client(0, corpus, Rng(1));
+  Client twin(0, corpus, Rng(1));
+  Rng rng(9);
+  const auto draw = [&] {
+    nn::Weights w(kDim);
+    for (float& v : w) v = rng.uniform_f(-1.0f, 1.0f);
+    return w;
+  };
+  const nn::Weights trained = draw();
+  const nn::Weights reference = draw();
+  for (Client* c : {&client, &twin}) {
+    (void)c->encode_quantized_update(trained, reference, comm::QuantMode::kInt8, 0.25);
+  }
+  const std::vector<float> before = saved_residual(client);
+
+  // FLT_MAX − (−FLT_MAX) overflows to +inf, which quantize rejects.
+  nn::Weights bad_trained = draw();
+  nn::Weights bad_reference = draw();
+  bad_trained[17] = FLT_MAX;
+  bad_reference[17] = -FLT_MAX;
+  EXPECT_THROW(client.encode_quantized_update(bad_trained, bad_reference,
+                                              comm::QuantMode::kInt8, 0.25),
+               Error);
+  EXPECT_TRUE(same_bits(saved_residual(client), before));
+
+  const nn::Weights next_trained = draw();
+  const nn::Weights next_reference = draw();
+  EXPECT_EQ(client.encode_quantized_update(next_trained, next_reference,
+                                           comm::QuantMode::kInt8, 0.25)
+                .encode(),
+            twin.encode_quantized_update(next_trained, next_reference,
+                                         comm::QuantMode::kInt8, 0.25)
+                .encode());
+  EXPECT_TRUE(same_bits(saved_residual(client), saved_residual(twin)));
 }
 
 // -------------------------------------------------------------- Server

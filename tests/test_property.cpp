@@ -264,6 +264,12 @@ struct DenseCase {
   std::uint64_t seed;
 };
 
+// Without this gtest prints the case as a byte dump, and ctest names the
+// test after that print (e.g. 7to3_batch2_seed2).
+void PrintTo(const DenseCase& c, std::ostream* os) {
+  *os << c.in << "to" << c.out << "_batch" << c.batch << "_seed" << c.seed;
+}
+
 class DenseGradProperty : public ::testing::TestWithParam<DenseCase> {};
 
 TEST_P(DenseGradProperty, GradCheckAcrossShapes) {

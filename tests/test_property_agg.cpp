@@ -6,8 +6,10 @@
 //   * aggregation weights form a convex combination and are invariant
 //     to uniform sample-count scaling;
 //   * quantize's top-k keeps exactly the reference selection, ties
-//     breaking to the lowest index, under fp16 and int8, and the coded
-//     delta round-trips the wire;
+//     breaking to the lowest index, under fp16 and int8; its code equals
+//     a scalar reference coder's byte for byte, dequantize_add equals a
+//     scalar scatter bit for bit, and the coded delta round-trips the
+//     wire;
 //   * InMemoryNetwork::save_state/load_state round-trips in-flight
 //     traffic AND the traffic/fault accounting (the checkpoint-v4
 //     regression surface).
@@ -23,6 +25,7 @@
 #include "src/comm/compression.hpp"
 #include "src/comm/network.hpp"
 #include "src/fl/strategy.hpp"
+#include "src/utils/error.hpp"
 #include "property.hpp"
 
 namespace fedcav {
@@ -111,29 +114,88 @@ TEST(PropertyAgg, AggregationWeightsAreConvexAndScaleInvariant) {
   });
 }
 
+/// The codec as a scalar reference over the reference selection `kept`:
+/// each value coded in turn, int8 blocks ranged by sequential
+/// std::min/std::max and clamped with std::clamp.
+comm::QuantizedDelta reference_code(const std::vector<float>& dense,
+                                    const std::vector<std::uint32_t>& kept, bool sparse,
+                                    comm::QuantMode mode) {
+  comm::QuantizedDelta ref;
+  ref.mode = mode;
+  ref.dim = dense.size();
+  if (sparse) {
+    ref.mask.assign((dense.size() + 7) / 8, 0);
+    for (const std::uint32_t i : kept) ref.mask[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+  }
+  std::vector<float> values;
+  for (const std::uint32_t i : kept) values.push_back(dense[i]);
+  if (mode == comm::QuantMode::kFp16) {
+    for (const float v : values) {
+      const std::uint16_t h = comm::f32_to_f16(v);
+      ref.data.push_back(static_cast<std::uint8_t>(h & 0xffu));
+      ref.data.push_back(static_cast<std::uint8_t>(h >> 8));
+    }
+    return ref;
+  }
+  for (std::size_t lo = 0; lo < values.size(); lo += comm::kQuantBlock) {
+    const std::size_t hi = std::min(values.size(), lo + comm::kQuantBlock);
+    float mn = values[lo];
+    float mx = values[lo];
+    for (std::size_t i = lo + 1; i < hi; ++i) {
+      mn = std::min(mn, values[i]);
+      mx = std::max(mx, values[i]);
+    }
+    const float scale = (mx - mn) / 255.0f;
+    ref.scales.push_back(scale);
+    ref.zero_points.push_back(mn);
+    if (scale <= 0.0f) {
+      ref.data.resize(hi);
+      continue;
+    }
+    // A subnormal scale's inverse is infinite, so the block minimum
+    // codes as 0·inf = NaN, which the codec maps to code 0.
+    const float inv = 1.0f / scale;
+    for (std::size_t i = lo; i < hi; ++i) {
+      const float q = std::nearbyint((values[i] - mn) * inv);
+      ref.data.push_back(std::isnan(q) ? 0 : static_cast<std::uint8_t>(std::clamp(q, 0.0f, 255.0f)));
+    }
+  }
+  return ref;
+}
+
 /// quantize's top-k mask against the full (|v| desc, index asc) sort,
-/// plus the coded delta's reconstruction and wire round-trip.
+/// every byte of the code against reference_code, dequantize_add
+/// against a scalar scatter, and the wire round-trip.
 void check_topk_case(Rng& rng, std::size_t dim) {
   // Draw from a small value set so ties are the common case, not a
   // corner case: ±0, a subnormal, equal magnitudes of both signs, values
   // that share their top bits with 1.0 but differ lower down, and FLT_MAX
   // (one sign per case: ±FLT_MAX in one int8 block has no finite scale).
+  // One case in four draws only +0, −0 and one value of the case's
+  // sign, so int8 blocks have a zero min or max with both zeros present.
   const float values[] = {0.0f, 1e-40f, 0.25f, 1.0f, 1.0f + 0x1p-12f,
                           std::nextafter(1.0f, 2.0f), 2.0f, FLT_MAX};
   const float max_sign = rng.bernoulli(0.5) ? 1.0f : -1.0f;
+  const bool zero_heavy = rng.bernoulli(0.25);
   std::vector<float> dense(dim);
   for (auto& v : dense) {
+    if (zero_heavy) {
+      const std::uint64_t pick = rng.uniform_int(std::uint64_t{3});
+      v = pick == 0 ? 0.0f : pick == 1 ? -0.0f : max_sign * 0.5f;
+      continue;
+    }
     const std::size_t pick = rng.uniform_int(std::size(values));
     const float sign = pick + 1 == std::size(values) ? max_sign
                                                      : (rng.bernoulli(0.5) ? 1.0f : -1.0f);
     v = values[pick] * sign;
   }
-  // k = 1 and k = dim (through the top-k path, ratio < 1) are forced
-  // often; the rest spread over (0, 1).
+  // k = 1, k = dim through the top-k path (ratio < 1) and the dense code
+  // (ratio 1, no mask) are forced often; the rest spread over (0, 1).
   double ratio = rng.uniform(0.01, 1.0);
-  switch (rng.uniform_int(std::uint64_t{4})) {
+  switch (rng.uniform_int(std::uint64_t{5})) {
     case 0: ratio = 0.5 / static_cast<double>(dim); break;
     case 1: ratio = 1.0 - 0.5 / static_cast<double>(dim); break;
+    case 2: ratio = 1.0; break;
     default: break;
   }
   const auto k = std::max<std::size_t>(
@@ -171,8 +233,30 @@ void check_topk_case(Rng& rng, std::size_t dim) {
                            << comm::to_string(mode) << ", dim " << dim << ", k " << k
                            << ")";
 
-    // Wire round-trip at the exact size.
+    // Every byte of the code, scales and zero points included.
+    const comm::QuantizedDelta ref = reference_code(dense, order, ratio < 1.0, mode);
     const ByteBuffer wire = q.encode();
+    ASSERT_EQ(wire, ref.encode()) << comm::to_string(mode) << ", dim " << dim << ", k " << k;
+
+    // dequantize_add, bit for bit, against a scalar scatter of the
+    // reference values onto a nonzero base.
+    std::vector<float> y(dim);
+    for (auto& v : y) v = rng.bernoulli(0.2) ? -0.0f : rng.uniform_f(-1.0f, 1.0f);
+    std::vector<float> expect = y;
+    for (std::size_t n = 0; n < order.size(); ++n) {
+      float v = 0.0f;
+      if (mode == comm::QuantMode::kFp16) {
+        v = comm::f16_to_f32(static_cast<std::uint16_t>(ref.data[2 * n] | (ref.data[2 * n + 1] << 8)));
+      } else {
+        const std::size_t blk = n / comm::kQuantBlock;
+        v = ref.zero_points[blk] + ref.scales[blk] * static_cast<float>(ref.data[n]);
+      }
+      expect[order[n]] += v;
+    }
+    comm::dequantize_add(y, q);
+    EXPECT_TRUE(bits_equal(y, expect)) << comm::to_string(mode) << ", dim " << dim;
+
+    // Wire round-trip at the exact size.
     EXPECT_EQ(wire.size(), q.wire_size());
     ByteReader reader(wire);
     EXPECT_EQ(comm::QuantizedDelta::decode(reader).encode(), wire);
@@ -188,6 +272,31 @@ TEST(PropertyAgg, TopKRoundTripAndDeterministicTieBreak) {
   FEDCAV_PROPERTY("quantized top-k at model sizes", 20, [](Rng& rng) {
     check_topk_case(rng, rng.bernoulli(0.5) ? 6634 : 14082);
   });
+}
+
+TEST(PropertyAgg, DequantizeAddRejectsMaskBitsPastDimBeforeWriting) {
+  // Hand-built codes that decode would reject: a mask bit at or past dim,
+  // in a partial last byte (dim 13) and in a last 64-bit word (dim 70).
+  // Each y is its own allocation, so ASan sees a write past it.
+  for (const std::size_t dim : {std::size_t{13}, std::size_t{70}}) {
+    for (const comm::QuantMode mode : {comm::QuantMode::kFp16, comm::QuantMode::kInt8}) {
+      comm::QuantizedDelta q;
+      q.mode = mode;
+      q.dim = dim;
+      q.mask.assign((dim + 7) / 8, 0);
+      q.mask[0] = 0x05;                                        // coordinates 0 and 2
+      q.mask.back() |= static_cast<std::uint8_t>(1u << (dim % 8));  // coordinate dim
+      q.data.assign(mode == comm::QuantMode::kFp16 ? 6 : 3, 0x3c);
+      if (mode == comm::QuantMode::kInt8) {
+        q.scales = {1.0f};
+        q.zero_points = {0.5f};
+      }
+      ASSERT_EQ(q.count(), 3u);
+      std::vector<float> y(dim, 0.25f);
+      EXPECT_THROW(comm::dequantize_add(y, q), Error) << comm::to_string(mode) << ", dim " << dim;
+      EXPECT_EQ(y, std::vector<float>(dim, 0.25f)) << "nothing is written before the throw";
+    }
+  }
 }
 
 TEST(PropertyAgg, NetworkStateRoundTripPreservesTrafficAndFaultAccounting) {

@@ -25,6 +25,13 @@ struct ConvCase {
   std::size_t side;
 };
 
+// Without this gtest prints the case as a byte dump, and ctest names the
+// test after that print (e.g. 2to3ch_5x5_k3_s1_p1).
+void PrintTo(const ConvCase& c, std::ostream* os) {
+  *os << c.in_channels << "to" << c.out_channels << "ch_" << c.side << 'x' << c.side << "_k"
+      << c.kernel << "_s" << c.stride << "_p" << c.pad;
+}
+
 class ConvGradSweep : public ::testing::TestWithParam<ConvCase> {};
 
 TEST_P(ConvGradSweep, BackwardMatchesNumericGradient) {
